@@ -63,8 +63,9 @@ using namespace vpr;
       "       [--registry-dir DIR]           publish each round's refined\n"
       "                                      weights as a registry version\n"
       "  serve --listen PORT [--host ADDR] [--replicas N] [--max-inflight N]\n"
-      "        [--queue-cap N] [--width K]   TCP recommend server (SIGTERM\n"
-      "                                      drains in-flight work, then exits)\n"
+      "        [--queue-cap N] [--width K]   TCP recommend server; replicas pop\n"
+      "                                      one queue of replicas x queue-cap\n"
+      "                                      (SIGTERM drains in-flight work)\n"
       "        [--registry-dir DIR]          serve from a model registry and\n"
       "                                      hot-swap versions published there\n"
       "        [--admin-port PORT]           HTTP admin plane on the same host:\n"

@@ -7,8 +7,10 @@
 // insight embedding and cross-attention K/V. Rebound sessions are bitwise
 // indistinguishable from freshly constructed ones.
 //
-// Single-threaded by design: only the service's batcher thread touches it.
+// Single-threaded by design: only the service's batcher thread touches it,
+// except created() / reuses(), which counters() snapshots from any thread.
 
+#include <atomic>
 #include <memory>
 #include <span>
 #include <vector>
@@ -58,8 +60,8 @@ class SessionArena {
   int capacity_;
   int lanes_;
   int in_use_ = 0;
-  long created_ = 0;
-  long reuses_ = 0;
+  std::atomic<long> created_{0};
+  std::atomic<long> reuses_{0};
   std::vector<std::unique_ptr<align::DecodeSession>> pool_;
   std::vector<align::DecodeSession*> free_;
 };

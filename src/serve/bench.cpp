@@ -76,6 +76,45 @@ double ms_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
 }
 
+/// Per-version beam_search oracle, memoized per (version, suite design).
+/// It pins every version it is told about, so the weights outlive the
+/// registry's GC (real replicas pin through in-flight requests instead).
+class VersionOracle {
+ public:
+  VersionOracle(const std::vector<std::vector<double>>& insights,
+                int beam_width)
+      : insights_(insights), beam_width_(beam_width) {}
+
+  void pin(const ModelRegistry& registry, std::uint64_t v) {
+    pinned_.emplace(v, registry.version(v));
+  }
+  /// True when `response` is kOk, carries a version, and matches a lone
+  /// beam_search on that version's weights bitwise.
+  bool matches(const Response& response, int design) {
+    if (response.status != Status::kOk || response.model_version == 0) {
+      return false;
+    }
+    const auto key = std::make_pair(response.model_version, design);
+    auto it = oracle_.find(key);
+    if (it == oracle_.end()) {
+      it = oracle_
+               .emplace(key, align::beam_search(
+                                 pinned_.at(response.model_version)->model(),
+                                 insights_[static_cast<std::size_t>(design)],
+                                 beam_width_))
+               .first;
+    }
+    return candidates_bitwise_equal(response.candidates, it->second);
+  }
+
+ private:
+  const std::vector<std::vector<double>>& insights_;
+  int beam_width_;
+  std::map<std::uint64_t, std::shared_ptr<const ModelVersion>> pinned_;
+  std::map<std::pair<std::uint64_t, int>, std::vector<align::BeamCandidate>>
+      oracle_;
+};
+
 }  // namespace
 
 /// The same spread (normal * 0.5) the decode tests use, with the bias
@@ -122,30 +161,43 @@ int run_serve_bench(const ServeBenchOptions& opts) {
     if (sweep == 0 || sweep_ms < serial_ms) serial_ms = sweep_ms;
   }
 
-  // --- batched: all requests in flight through the micro-batcher ---------
-  double batched_ms = 0.0;
-  ServiceCounters counters;
-  for (int sweep = 0; sweep < opts.sweeps; ++sweep) {
+  // Every service and fleet below runs the bench's concurrency and width.
+  const auto service_config = [&](std::size_t queue_capacity) {
     ServiceConfig config;
     config.max_inflight = opts.concurrency;
     config.max_beam_width = opts.beam_width;
-    config.queue_capacity =
-        static_cast<std::size_t>(std::max(opts.requests, 1));
-    RecommendService service{model, config};
+    config.queue_capacity = queue_capacity;
+    return config;
+  };
+  // All n requests in flight at once through `submit`; folds the bitwise
+  // check into bitwise_match and returns the wall time of the sweep.
+  const auto timed_sweep = [&](int n, const auto& submit) {
     std::vector<std::future<Response>> futures;
-    futures.reserve(static_cast<std::size_t>(opts.requests));
+    futures.reserve(static_cast<std::size_t>(n));
     const auto t0 = Clock::now();
-    for (int i = 0; i < opts.requests; ++i) {
-      futures.push_back(
-          service.submit(insights[i % kSuiteDesigns], opts.beam_width));
+    for (int i = 0; i < n; ++i) {
+      futures.push_back(submit(insights[i % kSuiteDesigns]));
     }
-    for (int i = 0; i < opts.requests; ++i) {
+    for (int i = 0; i < n; ++i) {
       const Response response = futures[static_cast<std::size_t>(i)].get();
       bitwise_match = bitwise_match && response.status == Status::kOk &&
                       candidates_bitwise_equal(response.candidates,
                                                expected[i % kSuiteDesigns]);
     }
-    const double sweep_ms = ms_since(t0);
+    return ms_since(t0);
+  };
+
+  // --- batched: all requests in flight through the micro-batcher ---------
+  double batched_ms = 0.0;
+  ServiceCounters counters;
+  for (int sweep = 0; sweep < opts.sweeps; ++sweep) {
+    RecommendService service{
+        model,
+        service_config(static_cast<std::size_t>(std::max(opts.requests, 1)))};
+    const double sweep_ms =
+        timed_sweep(opts.requests, [&](const std::vector<double>& iv) {
+          return service.submit(iv, opts.beam_width);
+        });
     if (sweep == 0 || sweep_ms < batched_ms) batched_ms = sweep_ms;
     counters = service.counters();
     service.stop();
@@ -163,30 +215,14 @@ int run_serve_bench(const ServeBenchOptions& opts) {
   double router_ms = 0.0;
   RouterCounters router_counters;
   for (int sweep = 0; sweep < opts.sweeps; ++sweep) {
-    RouterConfig rc;
-    rc.replicas = opts.replicas;
-    rc.replica.max_inflight = opts.concurrency;
-    rc.replica.max_beam_width = opts.beam_width;
-    rc.replica.queue_capacity =
-        static_cast<std::size_t>(std::max(router_requests, 1));
-    Router router{model, rc};
-    std::vector<std::future<Response>> futures;
-    futures.reserve(static_cast<std::size_t>(router_requests));
-    const auto t0 = Clock::now();
-    for (int i = 0; i < router_requests; ++i) {
-      futures.push_back(router.submit(insights[i % kSuiteDesigns],
-                                      opts.beam_width, Router::kNoDeadline,
-                                      Priority::kInteractive));
-    }
-    for (int i = 0; i < router_requests; ++i) {
-      const Response response = futures[static_cast<std::size_t>(i)].get();
-      bitwise_match = bitwise_match && response.status == Status::kOk &&
-                      candidates_bitwise_equal(response.candidates,
-                                               expected[i % kSuiteDesigns]);
-    }
-    const double sweep_ms = ms_since(t0);
+    Router router{model, RouterConfig{.replicas = opts.replicas,
+                                      .replica = service_config(opts.requests)}};
+    const double sweep_ms =
+        timed_sweep(router_requests, [&](const std::vector<double>& iv) {
+          return router.submit(iv, opts.beam_width, Router::kNoDeadline,
+                               Priority::kInteractive);
+        });
     if (sweep == 0 || sweep_ms < router_ms) router_ms = sweep_ms;
-    router.rebalance();  // final occupancy/drain-rate snapshot
     router_counters = router.counters();
     router.stop();
   }
@@ -203,12 +239,9 @@ int run_serve_bench(const ServeBenchOptions& opts) {
   double accepted_p99_ms = 0.0;
   int overload_requests = 0;
   {
-    RouterConfig rc;
-    rc.replicas = opts.replicas;
-    rc.replica.max_inflight = opts.concurrency;
-    rc.replica.max_beam_width = opts.beam_width;
-    rc.replica.queue_capacity = 8;  // tiny on purpose
-    Router router{model, rc};
+    // Tiny queues on purpose.
+    Router router{model, RouterConfig{.replicas = opts.replicas,
+                                      .replica = service_config(8)}};
     overload_requests = 2 * opts.replicas * 8;
     std::vector<std::future<Response>> futures;
     futures.reserve(static_cast<std::size_t>(overload_requests));
@@ -267,27 +300,7 @@ int run_serve_bench(const ServeBenchOptions& opts) {
       const align::RecipeModel vm{align::ModelConfig{}, vrng};
       return vm.state();
     };
-    // Bench-side pins keep every published version alive for the lazy
-    // oracle (real replicas pin through in-flight requests instead).
-    std::map<std::uint64_t, std::shared_ptr<const ModelVersion>> pinned;
-    std::map<std::pair<std::uint64_t, int>,
-             std::vector<align::BeamCandidate>>
-        oracle;
-    const auto expect =
-        [&](std::uint64_t v,
-            int k) -> const std::vector<align::BeamCandidate>& {
-      const auto key = std::make_pair(v, k);
-      auto it = oracle.find(key);
-      if (it == oracle.end()) {
-        it = oracle
-                 .emplace(key, align::beam_search(pinned.at(v)->model(),
-                                                  insights[static_cast<
-                                                      std::size_t>(k)],
-                                                  opts.beam_width))
-                 .first;
-      }
-      return it->second;
-    };
+    VersionOracle oracle{insights, opts.beam_width};
 
     // The steady-vs-churn ratio compares two ~10 ms runs, so a single
     // scheduler hiccup moves it by several points; min-of-N on both sides
@@ -298,8 +311,7 @@ int run_serve_bench(const ServeBenchOptions& opts) {
       for (const bool churn : {false, true}) {
         auto registry = std::make_shared<ModelRegistry>(align::ModelConfig{});
         const auto publish_next = [&](const std::vector<double>& state) {
-          const std::uint64_t v = registry->publish(state, "bench");
-          pinned.emplace(v, registry->version(v));
+          oracle.pin(*registry, registry->publish(state, "bench"));
         };
         // Generating a version's weight vector is bench harness work, not
         // publish cost: build every state before the clock starts (on one
@@ -313,12 +325,9 @@ int run_serve_bench(const ServeBenchOptions& opts) {
           states.push_back(version_state(static_cast<std::uint64_t>(v)));
         }
         publish_next(states.front());  // v1: the steady-state weights
-        ServiceConfig config;
-        config.max_inflight = opts.concurrency;
-        config.max_beam_width = opts.beam_width;
-        config.queue_capacity =
-            static_cast<std::size_t>(std::max(opts.requests, 1));
-        RecommendService service{registry, config};
+        RecommendService service{
+            registry, service_config(static_cast<std::size_t>(
+                          std::max(opts.requests, 1)))};
         std::vector<std::future<Response>> futures;
         futures.reserve(static_cast<std::size_t>(opts.requests));
         std::set<std::uint64_t> served;
@@ -375,12 +384,8 @@ int run_serve_bench(const ServeBenchOptions& opts) {
         for (int i = 0; i < opts.requests; ++i) {
           const Response& response = responses[static_cast<std::size_t>(i)];
           served.insert(response.model_version);
-          hotswap_bitwise =
-              hotswap_bitwise && response.status == Status::kOk &&
-              response.model_version != 0 &&
-              candidates_bitwise_equal(
-                  response.candidates,
-                  expect(response.model_version, i % kSuiteDesigns));
+          hotswap_bitwise = hotswap_bitwise &&
+                            oracle.matches(response, i % kSuiteDesigns);
         }
         if (churn) {
           if (sweep == 0 || sweep_ms < hotswap_churn_ms) {
@@ -424,34 +429,12 @@ int run_serve_bench(const ServeBenchOptions& opts) {
     auto registry =
         std::make_shared<ModelRegistry>(align::ModelConfig{}, reg_config);
     const std::uint64_t good_v = registry->publish(model.state(), "good");
-    std::map<std::uint64_t, std::shared_ptr<const ModelVersion>> pinned;
-    pinned.emplace(good_v, registry->version(good_v));
-    std::map<std::pair<std::uint64_t, int>,
-             std::vector<align::BeamCandidate>>
-        oracle;
-    const auto expect =
-        [&](std::uint64_t v,
-            int k) -> const std::vector<align::BeamCandidate>& {
-      const auto key = std::make_pair(v, k);
-      auto it = oracle.find(key);
-      if (it == oracle.end()) {
-        it = oracle
-                 .emplace(key,
-                          align::beam_search(
-                              pinned.at(v)->model(),
-                              insights[static_cast<std::size_t>(k)],
-                              opts.beam_width))
-                 .first;
-      }
-      return it->second;
-    };
+    VersionOracle oracle{insights, opts.beam_width};
+    oracle.pin(*registry, good_v);
 
-    ServiceConfig config;
-    config.max_inflight = opts.concurrency;
-    config.max_beam_width = opts.beam_width;
-    config.queue_capacity =
-        static_cast<std::size_t>(std::max(2 * opts.requests, 32));
-    RecommendService service{registry, config};
+    RecommendService service{
+        registry, service_config(static_cast<std::size_t>(
+                      std::max(2 * opts.requests, 32)))};
     // The baseline floor must be reachable with the configured traffic.
     const int warm_requests =
         std::max(opts.requests,
@@ -467,20 +450,17 @@ int run_serve_bench(const ServeBenchOptions& opts) {
       responses.reserve(futures.size());
       for (auto& f : futures) responses.push_back(f.get());
       for (int i = 0; i < n; ++i) {
-        const Response& response = responses[static_cast<std::size_t>(i)];
         rollback_bitwise =
-            rollback_bitwise && response.status == Status::kOk &&
-            response.model_version != 0 &&
-            candidates_bitwise_equal(
-                response.candidates,
-                expect(response.model_version, i % kSuiteDesigns));
+            rollback_bitwise &&
+            oracle.matches(responses[static_cast<std::size_t>(i)],
+                           i % kSuiteDesigns);
       }
       return responses;
     };
     run_phase(warm_requests);  // good_v accumulates its baseline stats
     const std::vector<double> poisoned(registry->expected_params(), 0.0);
     const std::uint64_t bad_v = registry->publish(poisoned, "poisoned");
-    pinned.emplace(bad_v, registry->version(bad_v));
+    oracle.pin(*registry, bad_v);
     const auto after = run_phase(std::max(opts.requests, 32));
     for (const Response& response : after) {
       if (response.model_version == bad_v) ++rollback_served_on_bad;
@@ -538,9 +518,7 @@ int run_serve_bench(const ServeBenchOptions& opts) {
   {
     ServerConfig server_config;
     server_config.router.replicas = 2;
-    server_config.router.replica.max_inflight = opts.concurrency;
-    server_config.router.replica.max_beam_width = opts.beam_width;
-    server_config.router.replica.queue_capacity = 256;
+    server_config.router.replica = service_config(256);
     server_config.port = 0;
     server_config.admin_port = 0;
     Server server{model, server_config};
@@ -556,11 +534,17 @@ int run_serve_bench(const ServeBenchOptions& opts) {
     const auto best_qps = [&](bool scraped) {
       double best = 0.0;
       for (int sweep = 0; sweep < opts.sweeps; ++sweep) {
-        std::atomic<bool> stop_scraper{false};
+        // The scraper polls every 25 ms until told to stop; the wait
+        // returns at once when it is.
+        std::mutex scraper_mutex;
+        std::condition_variable scraper_cv;
+        bool stop_scraper = false;
         std::thread scraper;
         if (scraped) {
           scraper = std::thread([&] {
-            while (!stop_scraper.load(std::memory_order_acquire)) {
+            std::unique_lock lock(scraper_mutex);
+            while (!stop_scraper) {
+              lock.unlock();
               const auto metrics =
                   http_get("127.0.0.1", server.admin_port(), "/metrics");
               const auto health =
@@ -571,7 +555,9 @@ int run_serve_bench(const ServeBenchOptions& opts) {
                 admin_ok = false;
               }
               ++admin_scrapes;
-              std::this_thread::sleep_for(std::chrono::milliseconds(25));
+              lock.lock();
+              scraper_cv.wait_for(lock, std::chrono::milliseconds(25),
+                                  [&] { return stop_scraper; });
             }
           });
         }
@@ -580,7 +566,11 @@ int run_serve_bench(const ServeBenchOptions& opts) {
           admin_ok = false;
         }
         if (scraped) {
-          stop_scraper.store(true, std::memory_order_release);
+          {
+            std::lock_guard lock(scraper_mutex);
+            stop_scraper = true;
+          }
+          scraper_cv.notify_all();
           scraper.join();
         }
         best = std::max(best, result.qps);

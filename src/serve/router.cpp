@@ -1,9 +1,9 @@
 #include "serve/router.h"
 
 #include <algorithm>
+#include <iterator>
 #include <numeric>
 #include <stdexcept>
-#include <string>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -12,53 +12,10 @@
 
 namespace vpr::serve {
 
-namespace {
-
-/// Router-level process-wide series (the per-replica serve.* counters are
-/// fed by the replicas themselves).
-struct RouterMetrics {
-  obs::Counter& routed;
-  obs::Counter& shed;
-  obs::Counter& rebalances;
-  obs::Gauge& utilization;
-
-  static RouterMetrics& get() {
-    static auto& r = obs::MetricsRegistry::instance();
-    static RouterMetrics m{
-        r.counter("serve.routed", "requests placed on a replica"),
-        r.counter("serve.shed",
-                  "requests refused by the overload policy (fast kRejected "
-                  "with a retry_after_ms hint)"),
-        r.counter("serve.rebalances", "router drain-rate refresh passes"),
-        r.gauge("serve.router.utilization",
-                "aggregate queued / aggregate queue capacity"),
-    };
-    return m;
-  }
-};
-
-/// EWMA weight for new drain-rate samples; high enough to follow load
-/// shifts within a few rebalance passes, low enough to ride out one noisy
-/// interval.
-constexpr double kDrainAlpha = 0.3;
-
-/// Fallback estimate of per-request service time before any completion has
-/// been measured (cold start): pessimistic, so early Retry-After hints err
-/// toward backing off.
-constexpr double kColdStartMsPerRequest = 10.0;
-
-}  // namespace
-
 const char* to_string(Priority priority) noexcept {
-  switch (priority) {
-    case Priority::kInteractive:
-      return "interactive";
-    case Priority::kNormal:
-      return "normal";
-    case Priority::kBatch:
-      return "batch";
-  }
-  return "unknown";
+  static constexpr const char* kNames[] = {"interactive", "normal", "batch"};
+  const auto i = static_cast<std::size_t>(priority);
+  return i < std::size(kNames) ? kNames[i] : "unknown";
 }
 
 std::uint64_t RouterCounters::total_completed() const {
@@ -68,18 +25,13 @@ std::uint64_t RouterCounters::total_completed() const {
                          });
 }
 
-std::uint64_t RouterCounters::total_rejected() const {
-  return std::accumulate(replica.begin(), replica.end(), std::uint64_t{0},
-                         [](std::uint64_t acc, const ServiceCounters& c) {
-                           return acc + c.rejected;
-                         });
-}
-
 util::Json RouterCounters::to_json() const {
   util::Json j = util::Json::object();
-  j["routed"] = static_cast<double>(routed);
   j["shed"] = static_cast<double>(shed);
-  j["rebalances"] = static_cast<double>(rebalances);
+  j["submitted"] = static_cast<double>(submitted);
+  j["rejected"] = static_cast<double>(rejected);
+  j["shutdown_refused"] = static_cast<double>(shutdown_refused);
+  j["queue_depth"] = static_cast<double>(queue_depth);
   j["fleet_p99_ms"] = fleet_p99_ms;
   j["fleet_p999_ms"] = fleet_p999_ms;
   j["fleet_latency_count"] = static_cast<double>(fleet_latency_count);
@@ -97,103 +49,55 @@ Router::Router(std::shared_ptr<ModelRegistry> registry, RouterConfig config)
 
 Router::Router(RouterConfig config, const align::RecipeModel* fixed,
                std::shared_ptr<ModelRegistry> registry)
-    : registry_(std::move(registry)),
-      config_(config),
-      insight_dim_(static_cast<std::size_t>(
-          (fixed != nullptr ? fixed->config() : registry_->model_config())
-              .insight_dim)) {
-  if (config_.replicas < 1) {
+    : registry_(std::move(registry)) {
+  if (config.replicas < 1) {
     throw std::invalid_argument("Router: replicas < 1");
   }
-  if (config_.shed_batch > config_.shed_normal) {
-    throw std::invalid_argument(
-        "Router: shed_batch threshold above shed_normal (batch must shed "
-        "first)");
-  }
-  if (config_.rebalance_interval < 1) {
-    throw std::invalid_argument("Router: rebalance_interval < 1");
-  }
-  fleet_.reserve(static_cast<std::size_t>(config_.replicas));
-  for (int i = 0; i < config_.replicas; ++i) {
-    ReplicaState state;
-    state.service =
+  const ServiceConfig& rc = config.replica;
+  admission_ = std::make_shared<AdmissionQueue>(
+      static_cast<std::size_t>(config.replicas) * rc.queue_capacity,
+      config.replicas * rc.max_inflight,
+      (fixed != nullptr ? fixed->config() : registry_->model_config())
+          .insight_dim,
+      rc.max_beam_width);
+  for (int i = 0; i < config.replicas; ++i) {
+    fleet_.push_back(
         fixed != nullptr
-            ? std::make_unique<RecommendService>(*fixed, config_.replica)
-            : std::make_unique<RecommendService>(registry_, config_.replica);
-    state.last_refresh = Clock::now();
-    fleet_.push_back(std::move(state));
+            ? std::make_unique<RecommendService>(*fixed, rc, admission_)
+            : std::make_unique<RecommendService>(registry_, rc, admission_));
   }
 }
 
 Router::~Router() { stop(); }
 
-double Router::shed_threshold(Priority priority) const noexcept {
-  switch (priority) {
-    case Priority::kInteractive:
-      return 1.0;  // only a fully saturated fleet sheds interactive
-    case Priority::kNormal:
-      return config_.shed_normal;
-    case Priority::kBatch:
-      return config_.shed_batch;
+std::future<Response> Router::submit(std::vector<double> insight,
+                                     int beam_width,
+                                     std::chrono::milliseconds deadline,
+                                     Priority priority,
+                                     std::uint64_t trace_id) {
+  // Malformed input is a caller bug: throw before any shedding.
+  admission_->validate(insight, beam_width);
+  const double threshold = priority == Priority::kBatch    ? kShedBatch
+                           : priority == Priority::kNormal ? kShedNormal
+                                                           : 1.0;
+  const double wait_ms = admission_->estimated_wait_ms();
+  const bool hopeless =
+      deadline != kNoDeadline &&
+      static_cast<double>(deadline.count()) < kDeadlineSlackFactor * wait_ms;
+  // A closed queue answers kShutdown, never a retry hint.
+  if ((utilization() < threshold && !hopeless) || admission_->closed()) {
+    return admission_->submit(std::move(insight), beam_width, deadline,
+                              trace_id);
   }
-  return 1.0;
-}
-
-double Router::utilization() const {
-  const double capacity =
-      static_cast<double>(fleet_.size()) *
-      static_cast<double>(config_.replica.queue_capacity);
-  std::size_t queued = 0;
-  for (const ReplicaState& r : fleet_) queued += r.service->queue_depth();
-  return capacity > 0.0 ? static_cast<double>(queued) / capacity : 1.0;
-}
-
-double Router::estimated_drain_ms() const {
-  std::size_t backlog = 0;
-  double rate = 0.0;  // completions per second, fleet-wide
-  for (const ReplicaState& r : fleet_) {
-    backlog += r.service->queue_depth() +
-               static_cast<std::size_t>(std::max(0, r.service->inflight()));
-    rate += r.drain_rate;
-  }
-  if (backlog == 0) return 0.0;
-  if (rate <= 0.0) {
-    return static_cast<double>(backlog) * kColdStartMsPerRequest;
-  }
-  return 1000.0 * static_cast<double>(backlog) / rate;
-}
-
-std::vector<int> Router::placement_order() const {
-  std::vector<int> order(fleet_.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::vector<double> score(fleet_.size());
-  for (std::size_t i = 0; i < fleet_.size(); ++i) {
-    const ReplicaState& r = fleet_[i];
-    const double backlog =
-        static_cast<double>(r.service->queue_depth()) +
-        static_cast<double>(std::max(0, r.service->inflight()));
-    // Backlog normalized by how fast this replica actually drains; an
-    // unmeasured replica gets weight 1 so cold fleets degrade to pure
-    // depth-based placement.
-    const double weight = r.drain_rate > 0.0 ? r.drain_rate : 1.0;
-    score[i] = backlog / weight;
-  }
-  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    return score[static_cast<std::size_t>(a)] <
-           score[static_cast<std::size_t>(b)];
-  });
-  return order;
-}
-
-void Router::shed(std::vector<double>&& insight, Priority priority,
-                  std::promise<Response>& promise, double retry_after_ms,
-                  std::uint64_t trace_id) {
-  insight.clear();  // the request is not going anywhere
   shed_.fetch_add(1, std::memory_order_relaxed);
-  RouterMetrics::get().shed.inc();
+  static obs::Counter& shed_metric = obs::MetricsRegistry::instance().counter(
+      "serve.shed",
+      "requests refused by the overload policy (fast kRejected with a "
+      "retry_after_ms hint)");
+  shed_metric.inc();
   Response response;
   response.status = Status::kRejected;
-  response.retry_after_ms = std::max(1.0, retry_after_ms);
+  response.retry_after_ms = std::max(1.0, wait_ms);
   response.trace_id =
       trace_id != 0 ? trace_id : obs::TraceRecorder::next_id();
   auto& recorder = obs::TraceRecorder::instance();
@@ -202,140 +106,29 @@ void Router::shed(std::vector<double>&& insight, Priority priority,
                            {{"priority", to_string(priority)},
                             {"retry_after_ms", response.retry_after_ms}});
   }
-  promise.set_value(std::move(response));
-}
-
-std::future<Response> Router::submit(std::vector<double> insight,
-                                     int beam_width,
-                                     std::chrono::milliseconds deadline,
-                                     Priority priority,
-                                     std::uint64_t trace_id) {
-  // Validate before placement so malformed input throws (a caller bug)
-  // rather than consuming shed/queue budget.
-  if (insight.size() != insight_dim_) {
-    throw std::invalid_argument("Router::submit: insight dimension mismatch");
-  }
-  if (beam_width < 1 || beam_width > config_.replica.max_beam_width) {
-    throw std::invalid_argument("Router::submit: beam width out of range");
-  }
-
-  if (stopped_.load(std::memory_order_acquire)) {
-    std::promise<Response> promise;
-    auto future = promise.get_future();
-    Response response;
-    response.status = Status::kShutdown;
-    promise.set_value(std::move(response));
-    return future;
-  }
-
-  // Overload policy, cheapest checks first. Aggregate utilization gates by
-  // priority class; deadline slack sheds requests that would time out in
-  // the queue anyway.
-  const double util = utilization();
-  if (util >= shed_threshold(priority)) {
-    std::promise<Response> promise;
-    auto future = promise.get_future();
-    shed(std::move(insight), priority, promise, estimated_drain_ms(),
-         trace_id);
-    return future;
-  }
-  if (deadline != kNoDeadline && config_.deadline_slack_factor > 0.0) {
-    const double wait_ms = estimated_drain_ms();
-    if (static_cast<double>(deadline.count()) <
-        config_.deadline_slack_factor * wait_ms) {
-      std::promise<Response> promise;
-      auto future = promise.get_future();
-      shed(std::move(insight), priority, promise, wait_ms, trace_id);
-      return future;
-    }
-  }
-
-  // Depth-based placement: cheapest replica first, falling through to the
-  // next when a queue fills between the score pass and the push.
-  for (const int idx : placement_order()) {
-    ReplicaState& r = fleet_[static_cast<std::size_t>(idx)];
-    if (r.service->queue_depth() >= config_.replica.queue_capacity) continue;
-    auto future =
-        r.service->submit(std::move(insight), beam_width, deadline, trace_id);
-    const std::uint64_t placed =
-        routed_.fetch_add(1, std::memory_order_relaxed) + 1;
-    RouterMetrics::get().routed.inc();
-    if (placed % config_.rebalance_interval == 0) rebalance();
-    return future;
-  }
-
-  // Every queue is full: shed even interactive traffic (the alternative is
-  // unbounded buffering, which the serve layer never does).
   std::promise<Response> promise;
-  auto future = promise.get_future();
-  shed(std::move(insight), priority, promise, estimated_drain_ms(), trace_id);
-  return future;
-}
-
-obs::QuantileSketch Router::fleet_latency_sketch() const {
-  obs::QuantileSketch fleet;
-  for (const ReplicaState& r : fleet_) {
-    fleet.merge(r.service->latency_sketch());
-  }
-  return fleet;
-}
-
-Response Router::recommend(std::vector<double> insight, int beam_width,
-                           std::chrono::milliseconds deadline,
-                           Priority priority) {
-  return submit(std::move(insight), beam_width, deadline, priority).get();
-}
-
-void Router::rebalance() {
-  std::lock_guard lock(rebalance_mutex_);
-  const auto now = Clock::now();
-  auto& registry = obs::MetricsRegistry::instance();
-  for (std::size_t i = 0; i < fleet_.size(); ++i) {
-    ReplicaState& r = fleet_[i];
-    const std::uint64_t finished = r.service->finished();
-    const double dt =
-        std::chrono::duration<double>(now - r.last_refresh).count();
-    if (dt > 0.0) {
-      const double instant =
-          static_cast<double>(finished - r.last_finished) / dt;
-      r.drain_rate = r.drain_rate == 0.0
-                         ? instant
-                         : (1.0 - kDrainAlpha) * r.drain_rate +
-                               kDrainAlpha * instant;
-    }
-    r.last_finished = finished;
-    r.last_refresh = now;
-    const std::string prefix = "serve.replica." + std::to_string(i);
-    registry.gauge(prefix + ".queue_depth")
-        .set(static_cast<double>(r.service->queue_depth()));
-    registry.gauge(prefix + ".inflight")
-        .set(static_cast<double>(r.service->inflight()));
-    registry.gauge(prefix + ".drain_rate").set(r.drain_rate);
-  }
-  RouterMetrics::get().utilization.set(utilization());
-  rebalances_.fetch_add(1, std::memory_order_relaxed);
-  RouterMetrics::get().rebalances.inc();
+  promise.set_value(std::move(response));
+  return promise.get_future();
 }
 
 void Router::stop() {
-  stopped_.store(true, std::memory_order_release);
-  for (ReplicaState& r : fleet_) r.service->stop();
+  admission_->close();
+  for (auto& r : fleet_) r->stop();
 }
 
 RouterCounters Router::counters() const {
   RouterCounters c;
-  c.routed = routed_.load(std::memory_order_relaxed);
   c.shed = shed_.load(std::memory_order_relaxed);
-  c.rebalances = rebalances_.load(std::memory_order_relaxed);
-  c.replica.reserve(fleet_.size());
-  for (const ReplicaState& r : fleet_) {
-    c.replica.push_back(r.service->counters());
+  admission_->fill(c);
+  obs::QuantileSketch sketch;
+  for (const auto& r : fleet_) {
+    c.replica.push_back(r->counters());
+    sketch.merge(r->latency_sketch());
   }
-  const obs::QuantileSketch fleet = fleet_latency_sketch();
-  if (fleet.count() > 0) {
-    c.fleet_p99_ms = fleet.quantile(0.99);
-    c.fleet_p999_ms = fleet.quantile(0.999);
-    c.fleet_latency_count = fleet.count();
+  if (sketch.count() > 0) {
+    c.fleet_p99_ms = sketch.quantile(0.99);
+    c.fleet_p999_ms = sketch.quantile(0.999);
+    c.fleet_latency_count = sketch.count();
   }
   return c;
 }

@@ -1,35 +1,22 @@
 #pragma once
-// Sharded multi-replica serving: N RecommendService replicas — each with
-// its own batcher thread, admission queue and SessionArena — behind one
-// Router that places requests and sheds load.
+// Sharded multi-replica serving: N RecommendService replicas — each a
+// batcher thread with its own SessionArena — pop one shared
+// AdmissionQueue. There is no placement: any batcher with a free decode
+// slot pops the next request, so none waits while a replica idles.
 //
-// Placement is depth-based: every submit scores each replica by its
-// current backlog (queued + decoding) normalized by an estimated drain
-// rate, and the request goes to the cheapest replica. The drain-rate
-// estimates are refreshed by a periodic rebalance pass (every
-// rebalance_interval placements) that measures each replica's completion
-// throughput since the previous pass and folds it into an EWMA — the
-// solve/assign/rebalance cadence of epa-ng's pipeline scheduler, applied
-// to replica weights instead of pipeline stages. A replica that stalls
-// (slow tick, long requests) sees its weight decay and stops attracting
-// traffic until it drains.
-//
-// Overload policy: requests carry a Priority class. When aggregate queue
-// utilization crosses a class's shed threshold, the router refuses the
-// request *immediately* with kRejected plus a Retry-After-style hint
-// (estimated backlog drain time) instead of letting it queue — batch
-// traffic sheds first, interactive traffic last, and nothing is ever
-// buffered unboundedly. A request whose deadline is shorter than the
-// estimated wait is likewise shed up front (deadline slack admission):
-// decoding it would only steal capacity from requests that can still make
-// their deadlines.
+// Overload policy: requests carry a Priority class. When the queue's
+// utilization reaches a class's shed threshold, the router refuses the
+// request at once with kRejected plus a Retry-After-style hint
+// (AdmissionQueue::estimated_wait_ms) instead of queueing it — batch
+// traffic sheds first, interactive last. A request whose deadline is
+// shorter than the estimated wait is shed up front too (deadline slack
+// admission): it would only time out in the queue.
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <future>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "serve/service.h"
@@ -38,91 +25,72 @@ namespace vpr::serve {
 
 /// Scheduling class, best service first. Lower value = higher priority.
 enum class Priority {
-  kInteractive = 0,  // shed only when every queue is full
+  kInteractive = 0,  // shed only when the queue is full
   kNormal = 1,
   kBatch = 2,  // shed first under load
 };
 
 [[nodiscard]] const char* to_string(Priority priority) noexcept;
 
+/// Queue utilization at which kNormal / kBatch submissions are shed.
+inline constexpr double kShedNormal = 0.75;
+inline constexpr double kShedBatch = 0.50;
+/// Shed a request whose deadline is below this factor x the estimated
+/// queue wait.
+inline constexpr double kDeadlineSlackFactor = 1.0;
+
 struct RouterConfig {
   /// Number of replicas (each owns a batcher thread + SessionArena).
   int replicas = 2;
-  /// Per-replica service configuration.
+  /// Per-replica service configuration. The shared admission queue holds
+  /// replicas x replica.queue_capacity requests.
   ServiceConfig replica;
-  /// Aggregate queue utilization in [0, 1] above which kNormal / kBatch
-  /// submissions are shed. kInteractive sheds only when placement finds
-  /// every queue full.
-  double shed_normal = 0.75;
-  double shed_batch = 0.50;
-  /// Placements between drain-rate refresh passes.
-  std::uint64_t rebalance_interval = 64;
-  /// Shed a deadline-carrying request up front when its remaining slack is
-  /// below `deadline_slack_factor` x the estimated queue wait (it would
-  /// time out anyway). 0 disables slack admission.
-  double deadline_slack_factor = 1.0;
 };
 
-/// Router-level load counters plus a per-replica ServiceCounters snapshot.
+/// The shared queue's submit-side counts, once for the fleet (replica
+/// snapshots leave them 0), and per-replica batch-side snapshots.
 struct RouterCounters {
-  std::uint64_t routed = 0;      // placed on a replica
-  std::uint64_t shed = 0;        // refused by the overload policy
-  std::uint64_t rebalances = 0;  // drain-rate refresh passes run
-  /// Fleet tail latency from merging every replica's QuantileSketch — the
-  /// honest cross-replica p99/p99.9 (a mean of per-replica p99s is not a
-  /// fleet p99). fleet_latency_count is the merged observation count.
+  std::uint64_t shed = 0;  // refused by the overload policy
+  std::uint64_t submitted = 0;
+  std::uint64_t rejected = 0;
+  std::uint64_t shutdown_refused = 0;
+  std::uint64_t queue_depth = 0;
+  /// Tails of the merged per-replica latency sketches: an honest fleet
+  /// p99/p99.9, which a mean of per-replica p99s is not.
   double fleet_p99_ms = 0.0;
   double fleet_p999_ms = 0.0;
   std::uint64_t fleet_latency_count = 0;
   std::vector<ServiceCounters> replica;
 
-  /// Sums over the per-replica snapshots.
   [[nodiscard]] std::uint64_t total_completed() const;
-  [[nodiscard]] std::uint64_t total_rejected() const;
   [[nodiscard]] util::Json to_json() const;
 };
 
 class Router {
  public:
-  using Clock = RecommendService::Clock;
   static constexpr std::chrono::milliseconds kNoDeadline =
       RecommendService::kNoDeadline;
 
   Router(const align::RecipeModel& model, RouterConfig config);
-  /// Registry-backed fleet: every replica starts on registry->current()
-  /// and hot-swaps independently at its own batch boundaries (replicas
-  /// may briefly serve different versions mid-rollout; each response
-  /// reports the version that decoded it). Throws std::invalid_argument
-  /// when the registry has no published version.
+  /// Registry-backed fleet: each replica hot-swaps at its own batch
+  /// boundaries, and each response reports the version that decoded it.
+  /// Throws std::invalid_argument when the registry has no published
+  /// version.
   Router(std::shared_ptr<ModelRegistry> registry, RouterConfig config);
   ~Router();
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  /// Place the request on the least-loaded replica, or shed it (kRejected
-  /// with Response::retry_after_ms set) under the overload policy. Throws
-  /// std::invalid_argument for malformed input, like
+  /// Enqueue the request, or shed it under the overload policy. Throws
+  /// std::invalid_argument for malformed input; `trace_id` as in
   /// RecommendService::submit.
-  /// `trace_id` 0 originates a fresh correlation id; a nonzero id (e.g.
-  /// from a remote client's request frame) is continued through the
-  /// placed replica's serve.* trace events — see RecommendService::submit.
   [[nodiscard]] std::future<Response> submit(
       std::vector<double> insight, int beam_width,
       std::chrono::milliseconds deadline = kNoDeadline,
       Priority priority = Priority::kNormal, std::uint64_t trace_id = 0);
 
-  /// Blocking submit().get().
-  [[nodiscard]] Response recommend(
-      std::vector<double> insight, int beam_width,
-      std::chrono::milliseconds deadline = kNoDeadline,
-      Priority priority = Priority::kNormal);
-
-  /// Refresh per-replica drain-rate estimates and the exported
-  /// serve.replica.<i>.* gauges now (also runs automatically every
-  /// rebalance_interval placements).
-  void rebalance();
-
-  /// Stop every replica (drain, then join). Idempotent.
+  /// Close the shared queue, then drain and join every replica.
+  /// Idempotent.
   void stop();
 
   [[nodiscard]] RouterCounters counters() const;
@@ -131,56 +99,27 @@ class Router {
   }
   /// Direct replica access for tests (pause/resume, counters).
   [[nodiscard]] RecommendService& replica(int i) {
-    return *fleet_.at(static_cast<std::size_t>(i)).service;
+    return *fleet_.at(static_cast<std::size_t>(i));
   }
-  [[nodiscard]] const RouterConfig& config() const noexcept {
-    return config_;
+  /// Queued / shared queue capacity, in [0, 1].
+  [[nodiscard]] double utilization() const {
+    return admission_->utilization();
   }
-  /// Aggregate queued / aggregate queue capacity, in [0, 1].
-  [[nodiscard]] double utilization() const;
-  /// Merge of every replica's full-history latency sketch: the fleet tail
-  /// distribution (cross-replica p99/p99.9 with relative-error bounds).
-  [[nodiscard]] obs::QuantileSketch fleet_latency_sketch() const;
-  /// Estimated milliseconds to drain the current backlog at the measured
-  /// completion rate — the Retry-After hint attached to shed responses.
-  [[nodiscard]] double estimated_drain_ms() const;
-  /// The registry behind a registry-backed fleet (nullptr for the
-  /// fixed-model constructor).
+  /// Null for the fixed-model constructor.
   [[nodiscard]] const std::shared_ptr<ModelRegistry>& registry()
       const noexcept {
     return registry_;
   }
 
  private:
-  struct ReplicaState {
-    std::unique_ptr<RecommendService> service;
-    /// EWMA of completions per second, refreshed by rebalance().
-    double drain_rate = 0.0;
-    std::uint64_t last_finished = 0;
-    Clock::time_point last_refresh{};
-  };
-
-  /// Both public constructors delegate here; exactly one of `fixed` /
-  /// `registry` is set.
+  /// Exactly one of `fixed` / `registry` is set.
   Router(RouterConfig config, const align::RecipeModel* fixed,
          std::shared_ptr<ModelRegistry> registry);
 
-  [[nodiscard]] double shed_threshold(Priority priority) const noexcept;
-  void shed(std::vector<double>&& insight, Priority priority,
-            std::promise<Response>& promise, double retry_after_ms,
-            std::uint64_t trace_id);
-  /// Replica indices sorted by ascending load score.
-  [[nodiscard]] std::vector<int> placement_order() const;
-
-  std::shared_ptr<ModelRegistry> registry_;  // null = fixed model
-  RouterConfig config_;
-  std::size_t insight_dim_ = 0;
-  std::vector<ReplicaState> fleet_;
-  mutable std::mutex rebalance_mutex_;
-  std::atomic<std::uint64_t> routed_{0};
+  std::shared_ptr<ModelRegistry> registry_;
+  std::shared_ptr<AdmissionQueue> admission_;
+  std::vector<std::unique_ptr<RecommendService>> fleet_;
   std::atomic<std::uint64_t> shed_{0};
-  std::atomic<std::uint64_t> rebalances_{0};
-  std::atomic<bool> stopped_{false};
 };
 
 }  // namespace vpr::serve

@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -125,7 +126,7 @@ ServerStats Server::stats() const {
 std::string Server::healthz_json() const {
   const bool draining = closing_.load(std::memory_order_acquire);
   const double utilization = router_.utilization();
-  const bool overloaded = utilization >= config_.router.shed_normal;
+  const bool overloaded = utilization >= kShedNormal;
   auto doc = util::Json::object();
   doc["status"] = draining      ? "draining"
                   : overloaded  ? "overloaded"
@@ -190,105 +191,87 @@ void Server::accept_loop() {
   }
 }
 
-void Server::reader_loop(Connection& conn) {
-  obs::TraceRecorder::instance().set_thread_name("conn-reader");
-  std::vector<std::uint8_t> payload;
-  while (wire::read_frame(conn.fd, payload)) {
-    if (payload.empty()) {
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      NetMetrics::get().protocol_errors.inc();
-      break;  // a zero-length frame carries no type byte: corruption
+std::optional<Server::Pending> Server::decode_frame(
+    std::vector<std::uint8_t>& payload) {
+  // An already-resolved kBadRequest future, for malformed-but-framed input.
+  const auto bad_request = [this] {
+    bad_requests_.fetch_add(1, std::memory_order_relaxed);
+    NetMetrics::get().bad_requests.inc();
+    std::promise<Response> failed;
+    Response response;
+    response.status = Status::kBadRequest;
+    failed.set_value(std::move(response));
+    return failed.get_future();
+  };
+  if (payload.empty()) return std::nullopt;  // no type byte: corruption
+  // A known type byte with a malformed body is corruption too. Probes are
+  // answered without touching the decode queue, but routed through the
+  // pending queue so responses keep pipeline order.
+  Pending pending;
+  switch (payload.front()) {
+    case wire::kVersionQueryFrame: {
+      const auto query = wire::decode_version_query(payload);
+      if (!query) return std::nullopt;
+      pending.kind = Pending::Kind::kVersionQuery;
+      pending.client_tag = query->client_tag;
+      return pending;
     }
-    const std::uint8_t type = payload.front();
-    if (type == wire::kVersionQueryFrame ||
-        type == wire::kStatsQueryFrame) {
-      // Probes are answered without touching the decode queue, but
-      // routed through the pending queue so responses keep pipeline
-      // order.
-      Pending probe;
-      bool decoded = false;
-      if (type == wire::kVersionQueryFrame) {
-        if (auto query = wire::decode_version_query(payload)) {
-          probe.kind = Pending::Kind::kVersionQuery;
-          probe.client_tag = query->client_tag;
-          decoded = true;
-        }
-      } else {
-        if (auto query = wire::decode_stats_query(payload)) {
-          probe.kind = Pending::Kind::kStatsQuery;
-          probe.client_tag = query->client_tag;
-          decoded = true;
-        }
-      }
-      if (!decoded) {
-        // A known type byte with a malformed body is corruption.
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        NetMetrics::get().protocol_errors.inc();
-        break;
-      }
-      while (conn.pending->push(std::move(probe)) ==
-             util::PushResult::kFull) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-      continue;
+    case wire::kStatsQueryFrame: {
+      const auto query = wire::decode_stats_query(payload);
+      if (!query) return std::nullopt;
+      pending.kind = Pending::Kind::kStatsQuery;
+      pending.client_tag = query->client_tag;
+      return pending;
     }
-    if (type != wire::kRequestFrame) {
+    case wire::kRequestFrame: {
+      auto request = wire::decode_request(payload);
+      if (!request) return std::nullopt;
+      requests_.fetch_add(1, std::memory_order_relaxed);
+      NetMetrics::get().requests.inc();
+      pending.client_tag = request->client_tag;
+      try {
+        pending.future = router_.submit(
+            std::move(request->insight), request->beam_width,
+            std::chrono::milliseconds(request->deadline_ms),
+            request->priority, request->trace_id);
+      } catch (const std::invalid_argument&) {
+        // Malformed contents from a remote peer are traffic, not a server
+        // bug: answer kBadRequest and keep the connection.
+        pending.future = bad_request();
+      }
+      return pending;
+    }
+    default:
       // Unknown-but-well-framed type: the peer speaks a newer protocol,
       // the stream itself is intact. Answer kBadRequest in-band and keep
       // the connection alive. Best effort on the tag: echo the u64 after
       // the type byte when the payload has one (where this protocol's
       // frames keep their correlation tag); tag 0 still lets a
       // pipelining client count responses.
-      bad_requests_.fetch_add(1, std::memory_order_relaxed);
-      NetMetrics::get().bad_requests.inc();
-      Pending rejected;
       if (payload.size() >= 9) {
-        std::memcpy(&rejected.client_tag, payload.data() + 1, 8);
+        std::memcpy(&pending.client_tag, payload.data() + 1, 8);
       }
-      std::promise<Response> failed;
-      Response response;
-      response.status = Status::kBadRequest;
-      failed.set_value(std::move(response));
-      rejected.future = failed.get_future();
-      while (conn.pending->push(std::move(rejected)) ==
-             util::PushResult::kFull) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-      continue;
-    }
-    auto request = wire::decode_request(payload);
-    if (!request.has_value()) {
+      pending.future = bad_request();
+      return pending;
+  }
+}
+
+void Server::reader_loop(Connection& conn) {
+  obs::TraceRecorder::instance().set_thread_name("conn-reader");
+  std::vector<std::uint8_t> payload;
+  while (wire::read_frame(conn.fd, payload)) {
+    std::optional<Pending> pending = decode_frame(payload);
+    if (!pending.has_value()) {
+      // Framing is broken; nothing on this stream is trustworthy.
       protocol_errors_.fetch_add(1, std::memory_order_relaxed);
       NetMetrics::get().protocol_errors.inc();
-      break;  // framing is broken; nothing on this stream is trustworthy
+      break;
     }
-    requests_.fetch_add(1, std::memory_order_relaxed);
-    NetMetrics::get().requests.inc();
-
-    Pending pending;
-    pending.client_tag = request->client_tag;
-    try {
-      pending.future = router_.submit(
-          std::move(request->insight), request->beam_width,
-          std::chrono::milliseconds(request->deadline_ms),
-          request->priority, request->trace_id);
-    } catch (const std::invalid_argument&) {
-      // Malformed contents from a remote peer are traffic, not a server
-      // bug: answer kBadRequest and keep the connection.
-      bad_requests_.fetch_add(1, std::memory_order_relaxed);
-      NetMetrics::get().bad_requests.inc();
-      std::promise<Response> failed;
-      Response response;
-      response.status = Status::kBadRequest;
-      failed.set_value(std::move(response));
-      pending.future = failed.get_future();
-    }
-    // A full pending queue means kMaxPipelined responses are unwritten;
-    // stall the reader (socket backpressure) rather than queue unboundedly.
-    while (conn.pending->push(std::move(pending)) ==
-           util::PushResult::kFull) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
+    // A full pending queue means kMaxPipelined responses are unwritten:
+    // block the reader (socket backpressure) rather than queue
+    // unboundedly. Only this reader closes the queue, so the push cannot
+    // report kClosed.
+    (void)conn.pending->push_wait(std::move(*pending));
   }
   // EOF or broken framing: no more submissions. close() lets the writer
   // drain everything already admitted, then exit.
@@ -302,12 +285,16 @@ void Server::writer_loop(Connection& conn) {
   Pending pending;
   bool write_ok = true;
   while (conn.pending->pop(pending)) {
+    Response response;
+    if (pending.kind == Pending::Kind::kRequest) {
+      response = pending.future.get();
+    }
+    if (!write_ok) continue;  // peer gone; keep draining futures
+    encoded.clear();
     if (pending.kind == Pending::Kind::kVersionQuery) {
-      if (!write_ok) continue;
       wire::VersionInfoFrame info;
       info.client_tag = pending.client_tag;
-      const auto& registry = router_.registry();
-      if (registry != nullptr) {
+      if (const auto& registry = router_.registry(); registry != nullptr) {
         info.model_version = registry->current_version();
         if (auto current = registry->current()) {
           info.checksum = current->checksum();
@@ -316,40 +303,24 @@ void Server::writer_loop(Connection& conn) {
           info.swaps += router_.replica(i).swaps();
         }
       }
-      encoded.clear();
       wire::encode(info, encoded);
-      if (!wire::write_frame(conn.fd, encoded)) {
-        write_ok = false;
-        ::shutdown(conn.fd, SHUT_RDWR);
-      }
-      continue;
-    }
-    if (pending.kind == Pending::Kind::kStatsQuery) {
-      if (!write_ok) continue;
+    } else if (pending.kind == Pending::Kind::kStatsQuery) {
       wire::StatsFrame stats_frame;
       stats_frame.client_tag = pending.client_tag;
       stats_frame.json = statusz_json();
-      encoded.clear();
       wire::encode(stats_frame, encoded);
-      if (!wire::write_frame(conn.fd, encoded)) {
-        write_ok = false;
-        ::shutdown(conn.fd, SHUT_RDWR);
-      }
-      continue;
+    } else {
+      wire::ResponseFrame frame;
+      frame.status = response.status;
+      frame.client_tag = pending.client_tag;
+      frame.trace_id = response.trace_id;
+      frame.model_version = response.model_version;
+      frame.queue_ms = response.queue_ms;
+      frame.total_ms = response.total_ms;
+      frame.retry_after_ms = response.retry_after_ms;
+      frame.candidates = std::move(response.candidates);
+      wire::encode(frame, encoded);
     }
-    Response response = pending.future.get();
-    if (!write_ok) continue;  // peer gone; keep draining futures
-    wire::ResponseFrame frame;
-    frame.status = response.status;
-    frame.client_tag = pending.client_tag;
-    frame.trace_id = response.trace_id;
-    frame.model_version = response.model_version;
-    frame.queue_ms = response.queue_ms;
-    frame.total_ms = response.total_ms;
-    frame.retry_after_ms = response.retry_after_ms;
-    frame.candidates = std::move(response.candidates);
-    encoded.clear();
-    wire::encode(frame, encoded);
     if (!wire::write_frame(conn.fd, encoded)) {
       write_ok = false;
       // Wake the reader out of read_frame so the connection tears down.

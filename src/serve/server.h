@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -121,6 +122,9 @@ class Server {
   };
 
   void accept_loop();
+  /// One frame's pending response (a submitted future, or a probe to
+  /// answer in order); nullopt when the frame is corrupt.
+  std::optional<Pending> decode_frame(std::vector<std::uint8_t>& payload);
   void reader_loop(Connection& conn);
   void writer_loop(Connection& conn);
   /// Join and erase connections whose threads have both exited.

@@ -1,14 +1,14 @@
 #include "serve/service.h"
 
 #include <algorithm>
+#include <cmath>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/registry.h"
-#include "util/stats.h"
-#include "util/thread_pool.h"
 
 namespace vpr::serve {
 
@@ -32,7 +32,6 @@ struct ServeMetrics {
   obs::Counter& timed_out;
   obs::Counter& ticks;
   obs::Counter& batched_lanes;
-  obs::HistogramMetric& latency_ms;
   obs::Counter& swaps;
   obs::HistogramMetric& swap_ms;
 
@@ -48,8 +47,6 @@ struct ServeMetrics {
         r.counter("serve.timed_out", "requests expired before completion"),
         r.counter("serve.ticks", "batched forward passes"),
         r.counter("serve.batched_lanes", "sum of batch sizes over ticks"),
-        r.histogram("serve.latency_ms", 0.0, 500.0, 50,
-                    "submit -> completion wall milliseconds (kOk only)"),
         r.counter("serve.swaps", "model-version hot swaps adopted"),
         r.histogram("serve.swap_ms", 0.0, 250.0, 50,
                     "publish -> batcher adoption wall milliseconds"),
@@ -57,6 +54,35 @@ struct ServeMetrics {
     return m;
   }
 };
+
+/// Wait estimate per backlogged request before any completion has been
+/// measured (cold start): pessimistic, so early Retry-After hints err
+/// toward backing off.
+constexpr double kColdStartMsPerRequest = 10.0;
+
+void respond(AdmissionQueue::Request& request, Status status,
+             std::vector<align::BeamCandidate> candidates = {},
+             AdmissionQueue::Clock::time_point admitted_at = {},
+             std::uint64_t model_version = 0,
+             double retry_after_ms = 0.0) {
+  const auto now = AdmissionQueue::Clock::now();
+  Response response;
+  response.status = status;
+  response.candidates = std::move(candidates);
+  response.trace_id = request.trace_id;
+  response.model_version = model_version;
+  response.retry_after_ms = retry_after_ms;
+  response.total_ms = ms_between(request.submitted_at, now);
+  response.queue_ms = admitted_at == AdmissionQueue::Clock::time_point{}
+                          ? response.total_ms
+                          : ms_between(request.submitted_at, admitted_at);
+  auto& recorder = obs::TraceRecorder::instance();
+  if (recorder.enabled()) {
+    recorder.async_end("serve.finish", "serve", request.trace_id,
+                       {{"status", to_string(status)}});
+  }
+  request.promise.set_value(std::move(response));
+}
 
 /// Registry-backed construction requires a published version: a service
 /// cannot admit traffic before any weights exist.
@@ -102,7 +128,6 @@ util::Json ServiceCounters::to_json() const {
   j["p50_latency_ms"] = p50_latency_ms;
   j["p95_latency_ms"] = p95_latency_ms;
   j["p99_latency_ms"] = p99_latency_ms;
-  j["sketch_p99_ms"] = sketch_p99_ms;
   j["sketch_p999_ms"] = sketch_p999_ms;
   j["qps"] = qps;
   j["sessions_created"] = static_cast<double>(sessions_created);
@@ -114,60 +139,31 @@ util::Json ServiceCounters::to_json() const {
   return j;
 }
 
-RecommendService::RecommendService(const align::RecipeModel& model,
-                                   ServiceConfig config)
-    : RecommendService(config, &model, nullptr) {}
-
-RecommendService::RecommendService(std::shared_ptr<ModelRegistry> registry,
-                                   ServiceConfig config)
-    : RecommendService(config, nullptr, std::move(registry)) {}
-
-RecommendService::RecommendService(ServiceConfig config,
-                                   const align::RecipeModel* fixed,
-                                   std::shared_ptr<ModelRegistry> registry)
-    : registry_(std::move(registry)),
-      active_(registry_ != nullptr ? registry_->current() : nullptr),
-      model_(fixed != nullptr ? fixed : checked_model(active_)),
-      config_(config),
-      insight_dim_(model_->config().insight_dim),
-      arena_(*model_,
-             config.arena_capacity > 0 ? config.arena_capacity
-                                       : std::max(1, config.max_inflight),
-             2 * std::max(1, config.max_beam_width)),
-      queue_(config.queue_capacity) {
-  if (config_.max_inflight < 1) {
-    throw std::invalid_argument("RecommendService: max_inflight < 1");
+AdmissionQueue::AdmissionQueue(std::size_t capacity, int decoders,
+                               int insight_dim, int max_beam_width)
+    : queue_(capacity),
+      decoders_(std::max(1, decoders)),
+      insight_dim_(static_cast<std::size_t>(insight_dim)),
+      max_beam_width_(max_beam_width) {
+  if (capacity < 1) {
+    throw std::invalid_argument("AdmissionQueue: capacity < 1");
   }
-  if (config_.max_beam_width < 1) {
-    throw std::invalid_argument("RecommendService: max_beam_width < 1");
-  }
-  if (config_.queue_capacity < 1) {
-    throw std::invalid_argument("RecommendService: queue_capacity < 1");
-  }
-  if (config_.arena_capacity < 0) {
-    throw std::invalid_argument("RecommendService: arena_capacity < 0");
-  }
-  if (active_ != nullptr) {
-    active_version_.store(active_->version(), std::memory_order_relaxed);
-  }
-  latencies_ms_.reserve(kLatencyWindow);
-  batcher_ = std::thread([this] { batcher_loop(); });
 }
 
-RecommendService::~RecommendService() { stop(); }
+void AdmissionQueue::validate(const std::vector<double>& insight,
+                              int beam_width) const {
+  if (insight.size() != insight_dim_) {
+    throw std::invalid_argument("submit: insight dimension mismatch");
+  }
+  if (beam_width < 1 || beam_width > max_beam_width_) {
+    throw std::invalid_argument("submit: beam width out of range");
+  }
+}
 
-std::future<Response> RecommendService::submit(
+std::future<Response> AdmissionQueue::submit(
     std::vector<double> insight, int beam_width,
     std::chrono::milliseconds deadline, std::uint64_t trace_id) {
-  const auto dim = static_cast<std::size_t>(insight_dim_);
-  if (insight.size() != dim) {
-    throw std::invalid_argument(
-        "RecommendService::submit: insight dimension mismatch");
-  }
-  if (beam_width < 1 || beam_width > config_.max_beam_width) {
-    throw std::invalid_argument(
-        "RecommendService::submit: beam width out of range");
-  }
+  validate(insight, beam_width);
 
   Request request;
   request.insight = std::move(insight);
@@ -177,7 +173,7 @@ std::future<Response> RecommendService::submit(
   request.trace_id =
       trace_id != 0 ? trace_id : obs::TraceRecorder::next_id();
   request.submitted_at = Clock::now();
-  request.deadline = deadline == kNoDeadline
+  request.deadline = deadline == RecommendService::kNoDeadline
                          ? Clock::time_point::max()
                          : request.submitted_at + deadline;
   std::future<Response> future = request.promise.get_future();
@@ -187,43 +183,117 @@ std::future<Response> RecommendService::submit(
     recorder.async_begin(
         "serve.request", "serve", request.trace_id,
         {{"beam_width", beam_width},
-         {"deadline_ms",
-          deadline == kNoDeadline ? std::int64_t{0} : deadline.count()}});
+         {"deadline_ms", deadline == RecommendService::kNoDeadline
+                             ? std::int64_t{0}
+                             : deadline.count()}});
   }
 
-  const auto submitted_at = request.submitted_at;  // survives the move
   // The push result is decided under the queue's single lock acquisition,
   // so a submit racing with stop() sees exactly one of kPushed (it will be
   // drained and completed), kClosed (kShutdown), or kFull (kRejected —
-  // genuine backpressure). The old boolean try_push collapsed the last two
-  // and could misreport a shutdown-refused request as rejected.
+  // genuine backpressure). Counters update before any promise is
+  // fulfilled, as in admit()/finish().
   switch (queue_.push(std::move(request))) {
-    case util::PushResult::kPushed: {
+    case util::PushResult::kPushed:
       // Counted only on acceptance: serve.submitted means "admitted into
       // the queue", so completed + timed_out never exceeds it.
       ServeMetrics::get().submitted.inc();
-      n_submitted_.fetch_add(1, std::memory_order_relaxed);
-      std::lock_guard lock(counters_mutex_);
-      if (!any_submitted_) {
-        any_submitted_ = true;
-        first_submit_ = submitted_at;
-      }
+      submitted_.fetch_add(1, std::memory_order_relaxed);
       break;
-    }
     case util::PushResult::kFull:
       // A failed push leaves `request` (and its promise) untouched.
-      // Counter before promise, as in admit()/finish().
       ServeMetrics::get().rejected.inc();
-      n_rejected_.fetch_add(1, std::memory_order_relaxed);
-      respond(request, Status::kRejected, {}, {});
+      rejected_.fetch_add(1, std::memory_order_relaxed);
+      respond(request, Status::kRejected, {}, {}, 0,
+              std::max(1.0, estimated_wait_ms()));
       break;
     case util::PushResult::kClosed:
       ServeMetrics::get().shutdown_refused.inc();
-      n_shutdown_refused_.fetch_add(1, std::memory_order_relaxed);
-      respond(request, Status::kShutdown, {}, {});
+      shutdown_refused_.fetch_add(1, std::memory_order_relaxed);
+      respond(request, Status::kShutdown);
       break;
   }
   return future;
+}
+
+void AdmissionQueue::finished(Status status, double decode_ms) {
+  if (status == Status::kOk) {
+    decode_ms_sum_.fetch_add(decode_ms, std::memory_order_relaxed);
+    decoded_.fetch_add(1, std::memory_order_relaxed);
+  } else if (status == Status::kRejected) {
+    ServeMetrics::get().rejected.inc();
+    rejected_.fetch_add(1, std::memory_order_relaxed);
+  }
+  finished_.fetch_add(1, std::memory_order_relaxed);
+}
+
+double AdmissionQueue::estimated_wait_ms() const {
+  // A popped request can finish before its submit is counted, so the
+  // difference is clamped rather than trusted to be positive.
+  const std::uint64_t finished = finished_.load(std::memory_order_relaxed);
+  const std::uint64_t submitted = submitted_.load(std::memory_order_relaxed);
+  if (submitted <= finished) return 0.0;
+  const auto backlog = static_cast<double>(submitted - finished);
+  const std::uint64_t decoded = decoded_.load(std::memory_order_relaxed);
+  if (decoded == 0) return backlog * kColdStartMsPerRequest;
+  const double mean_decode_ms =
+      decode_ms_sum_.load(std::memory_order_relaxed) /
+      static_cast<double>(decoded);
+  return std::ceil(backlog / decoders_) * mean_decode_ms;
+}
+
+RecommendService::RecommendService(const align::RecipeModel& model,
+                                   ServiceConfig config,
+                                   std::shared_ptr<AdmissionQueue> admission)
+    : RecommendService(config, &model, nullptr, std::move(admission)) {}
+
+RecommendService::RecommendService(std::shared_ptr<ModelRegistry> registry,
+                                   ServiceConfig config,
+                                   std::shared_ptr<AdmissionQueue> admission)
+    : RecommendService(config, nullptr, std::move(registry),
+                       std::move(admission)) {}
+
+RecommendService::RecommendService(ServiceConfig config,
+                                   const align::RecipeModel* fixed,
+                                   std::shared_ptr<ModelRegistry> registry,
+                                   std::shared_ptr<AdmissionQueue> admission)
+    : registry_(std::move(registry)),
+      active_(registry_ != nullptr ? registry_->current() : nullptr),
+      model_(fixed != nullptr ? fixed : checked_model(active_)),
+      config_(config),
+      arena_(*model_,
+             config.arena_capacity > 0 ? config.arena_capacity
+                                       : std::max(1, config.max_inflight),
+             2 * std::max(1, config.max_beam_width)),
+      own_admission_(admission == nullptr),
+      admission_(own_admission_
+                     ? std::make_shared<AdmissionQueue>(
+                           config.queue_capacity, config.max_inflight,
+                           model_->config().insight_dim,
+                           config.max_beam_width)
+                     : std::move(admission)) {
+  if (config_.max_inflight < 1) {
+    throw std::invalid_argument("RecommendService: max_inflight < 1");
+  }
+  if (config_.max_beam_width < 1) {
+    throw std::invalid_argument("RecommendService: max_beam_width < 1");
+  }
+  if (config_.arena_capacity < 0) {
+    throw std::invalid_argument("RecommendService: arena_capacity < 0");
+  }
+  if (active_ != nullptr) {
+    active_version_.store(active_->version(), std::memory_order_relaxed);
+  }
+  batcher_ = std::thread([this] { batcher_loop(); });
+}
+
+RecommendService::~RecommendService() { stop(); }
+
+std::future<Response> RecommendService::submit(
+    std::vector<double> insight, int beam_width,
+    std::chrono::milliseconds deadline, std::uint64_t trace_id) {
+  return admission_->submit(std::move(insight), beam_width, deadline,
+                            trace_id);
 }
 
 Response RecommendService::recommend(std::vector<double> insight,
@@ -257,7 +327,7 @@ void RecommendService::stop() {
   }
   if (!join) return;
   pause_cv_.notify_all();
-  queue_.close();
+  admission_->close();
   if (batcher_.joinable()) batcher_.join();
 }
 
@@ -269,34 +339,25 @@ obs::QuantileSketch RecommendService::latency_sketch() const {
 ServiceCounters RecommendService::counters() const {
   std::lock_guard lock(counters_mutex_);
   ServiceCounters snapshot;
-  snapshot.submitted = n_submitted_.load(std::memory_order_relaxed);
+  if (own_admission_) admission_->fill(snapshot);
   snapshot.completed = n_completed_.load(std::memory_order_relaxed);
-  snapshot.rejected = n_rejected_.load(std::memory_order_relaxed);
-  snapshot.shutdown_refused =
-      n_shutdown_refused_.load(std::memory_order_relaxed);
   snapshot.timed_out = n_timed_out_.load(std::memory_order_relaxed);
   snapshot.ticks = n_ticks_.load(std::memory_order_relaxed);
   snapshot.batched_lanes = n_batched_lanes_.load(std::memory_order_relaxed);
   snapshot.peak_inflight = peak_inflight_;
   snapshot.sessions_created = arena_.created();
   snapshot.session_reuses = arena_.reuses();
-  snapshot.queue_depth = queue_.size();
   snapshot.mean_batch_lanes =
       snapshot.ticks > 0 ? static_cast<double>(snapshot.batched_lanes) /
                                static_cast<double>(snapshot.ticks)
                          : 0.0;
-  if (!latencies_ms_.empty()) {
-    snapshot.p50_latency_ms = util::percentile(latencies_ms_, 50.0);
-    snapshot.p95_latency_ms = util::percentile(latencies_ms_, 95.0);
-    snapshot.p99_latency_ms = util::percentile(latencies_ms_, 99.0);
-  }
-  if (latency_sketch_.count() > 0) {
-    snapshot.sketch_p99_ms = latency_sketch_.quantile(0.99);
-    snapshot.sketch_p999_ms = latency_sketch_.quantile(0.999);
-  }
-  if (snapshot.completed > 0 && last_complete_ > first_submit_) {
+  snapshot.p50_latency_ms = latency_sketch_.quantile(0.50);
+  snapshot.p95_latency_ms = latency_sketch_.quantile(0.95);
+  snapshot.p99_latency_ms = latency_sketch_.quantile(0.99);
+  snapshot.sketch_p999_ms = latency_sketch_.quantile(0.999);
+  if (snapshot.completed > 0 && last_complete_ > first_admit_) {
     snapshot.qps = static_cast<double>(snapshot.completed) /
-                   std::chrono::duration<double>(last_complete_ - first_submit_)
+                   std::chrono::duration<double>(last_complete_ - first_admit_)
                        .count();
   }
   snapshot.model_version = active_version_.load(std::memory_order_relaxed);
@@ -309,28 +370,6 @@ ServiceCounters RecommendService::counters() const {
   return snapshot;
 }
 
-void RecommendService::respond(Request& request, Status status,
-                               std::vector<align::BeamCandidate> candidates,
-                               Clock::time_point admitted_at,
-                               std::uint64_t model_version) {
-  const auto now = Clock::now();
-  Response response;
-  response.status = status;
-  response.candidates = std::move(candidates);
-  response.trace_id = request.trace_id;
-  response.model_version = model_version;
-  response.total_ms = ms_between(request.submitted_at, now);
-  response.queue_ms = admitted_at == Clock::time_point{}
-                          ? response.total_ms
-                          : ms_between(request.submitted_at, admitted_at);
-  auto& recorder = obs::TraceRecorder::instance();
-  if (recorder.enabled()) {
-    recorder.async_end("serve.finish", "serve", request.trace_id,
-                       {{"status", to_string(status)}});
-  }
-  request.promise.set_value(std::move(response));
-}
-
 void RecommendService::admit(Request&& request,
                              std::vector<Inflight>& inflight) {
   const auto now = Clock::now();
@@ -340,7 +379,7 @@ void RecommendService::admit(Request&& request,
   if (now >= request.deadline) {
     ServeMetrics::get().timed_out.inc();
     n_timed_out_.fetch_add(1, std::memory_order_relaxed);
-    finished_.fetch_add(1, std::memory_order_relaxed);
+    admission_->finished(Status::kTimedOut);
     respond(request, Status::kTimedOut, {}, now);
     return;
   }
@@ -348,10 +387,9 @@ void RecommendService::admit(Request&& request,
   if (session == nullptr) {
     // Reachable only when arena_capacity is configured below max_inflight
     // (tests do this deliberately); rejected as admission backpressure.
-    ServeMetrics::get().rejected.inc();
-    n_rejected_.fetch_add(1, std::memory_order_relaxed);
-    finished_.fetch_add(1, std::memory_order_relaxed);
-    respond(request, Status::kRejected, {}, now);
+    admission_->finished(Status::kRejected);
+    respond(request, Status::kRejected, {}, now, 0,
+            std::max(1.0, admission_->estimated_wait_ms()));
     return;
   }
   auto& recorder = obs::TraceRecorder::instance();
@@ -373,6 +411,7 @@ void RecommendService::admit(Request&& request,
   inflight_now_.store(static_cast<int>(inflight.size()),
                       std::memory_order_relaxed);
   std::lock_guard lock(counters_mutex_);
+  if (first_admit_ == Clock::time_point{}) first_admit_ = now;
   peak_inflight_ = std::max<std::uint64_t>(peak_inflight_, inflight.size());
 }
 
@@ -398,23 +437,14 @@ void RecommendService::finish(Inflight& flight, Status status) {
     ServeMetrics& metrics = ServeMetrics::get();
     metrics.completed.inc();
     n_completed_.fetch_add(1, std::memory_order_relaxed);
-    metrics.latency_ms.observe(latency);
     std::lock_guard lock(counters_mutex_);
     last_complete_ = done;
     latency_sketch_.observe(latency);
-    // Bounded ring: overwrite the oldest sample once the window is full.
-    // Percentiles don't care about order, so no rotation is needed.
-    if (latencies_ms_.size() < kLatencyWindow) {
-      latencies_ms_.push_back(latency);
-    } else {
-      latencies_ms_[latency_next_] = latency;
-    }
-    latency_next_ = (latency_next_ + 1) % kLatencyWindow;
   } else if (status == Status::kTimedOut) {
     ServeMetrics::get().timed_out.inc();
     n_timed_out_.fetch_add(1, std::memory_order_relaxed);
   }
-  finished_.fetch_add(1, std::memory_order_relaxed);
+  admission_->finished(status, ms_between(flight.admitted_at, done));
 
   respond(flight.request, status, std::move(candidates), flight.admitted_at,
           served_version);
@@ -448,33 +478,6 @@ void RecommendService::maybe_swap() {
   swap_ms_max_ = std::max(swap_ms_max_, adoption_ms);
 }
 
-void RecommendService::forward_batch(std::span<const align::BatchStep> steps,
-                                     double* probs) {
-  const auto grain = static_cast<std::size_t>(std::max(1, config_.batch_grain));
-  if (config_.batch_workers == 1 || steps.size() <= grain) {
-    align::DecodeSession::step_batch(steps, probs);
-  } else {
-    // Lanes are independent and chunking does not change any per-element
-    // accumulation order, so a parallel chunked forward stays bitwise
-    // identical to the single-call one.
-    const std::size_t chunks = (steps.size() + grain - 1) / grain;
-    util::ThreadPool::shared().parallel_for(
-        chunks,
-        [&](std::size_t c) {
-          const std::size_t begin = c * grain;
-          const std::size_t end = std::min(steps.size(), begin + grain);
-          align::DecodeSession::step_batch(steps.subspan(begin, end - begin),
-                                           probs + begin);
-        },
-        config_.batch_workers);
-  }
-  ServeMetrics& metrics = ServeMetrics::get();
-  metrics.ticks.inc();
-  metrics.batched_lanes.inc(steps.size());
-  n_ticks_.fetch_add(1, std::memory_order_relaxed);
-  n_batched_lanes_.fetch_add(steps.size(), std::memory_order_relaxed);
-}
-
 void RecommendService::batcher_loop() {
   obs::TraceRecorder::instance().set_thread_name("batcher");
   std::vector<Inflight> inflight;
@@ -496,11 +499,11 @@ void RecommendService::batcher_loop() {
 
     Request request;
     while (static_cast<int>(inflight.size()) < config_.max_inflight &&
-           queue_.try_pop(request)) {
+           admission_->try_pop(request)) {
       admit(std::move(request), inflight);
     }
     if (inflight.empty()) {
-      if (!queue_.pop(request)) break;  // closed and drained
+      if (!admission_->pop(request)) break;  // closed and drained
       // Re-check the pause flag so pause() freezes admission too; the
       // request's deadline keeps running while held here.
       wait_if_paused();
@@ -563,12 +566,15 @@ void RecommendService::batcher_loop() {
         const std::size_t begin = group_begin[g];
         const std::size_t end =
             g + 1 < group_begin.size() ? group_begin[g + 1] : steps.size();
-        if (end > begin) {
-          forward_batch(
-              std::span<const align::BatchStep>(steps).subspan(begin,
-                                                               end - begin),
-              probs.data() + begin);
-        }
+        if (end == begin) continue;
+        align::DecodeSession::step_batch(
+            std::span<const align::BatchStep>(steps).subspan(begin,
+                                                             end - begin),
+            probs.data() + begin);
+        ServeMetrics::get().ticks.inc();
+        ServeMetrics::get().batched_lanes.inc(end - begin);
+        n_ticks_.fetch_add(1, std::memory_order_relaxed);
+        n_batched_lanes_.fetch_add(end - begin, std::memory_order_relaxed);
       }
 
       // Scatter probability slices back and advance each beam.

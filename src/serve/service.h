@@ -22,6 +22,12 @@
 // admission queue rejects immediately with kRejected (backpressure is
 // surfaced to the caller, never buffered unboundedly).
 //
+// Admission is its own object, AdmissionQueue: the bounded request queue
+// plus everything counted on the submit side. A standalone service owns
+// one; serve::Router hands one AdmissionQueue to all of its replicas, so N
+// batcher threads pop a single queue and the fleet is work-conserving by
+// construction.
+//
 // Hot swap: a service constructed over a serve::ModelRegistry polls the
 // registry's current version at every batch boundary and swaps RCU-style
 // — the batcher adopts the new shared_ptr, the arena re-targets future
@@ -39,7 +45,6 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <thread>
 #include <vector>
 
@@ -71,18 +76,13 @@ struct ServiceConfig {
   int max_inflight = 8;
   /// Largest admissible per-request beam width.
   int max_beam_width = 8;
-  /// Admission queue bound; pushes beyond it reject with kRejected.
+  /// Admission queue bound; pushes beyond it reject with kRejected. A
+  /// Router's shared queue holds replicas x queue_capacity.
   std::size_t queue_capacity = 256;
   /// Session-arena capacity; 0 means max_inflight (the only configuration
   /// where admission can never hit arena exhaustion). Settable below
   /// max_inflight so tests can exercise the admit() exhaustion guard.
   int arena_capacity = 0;
-  /// Thread-pool participants for the batched forward (1 = run inline on
-  /// the batcher thread, 0 = every pool participant). Chunking preserves
-  /// bitwise results, so this only trades latency for parallelism.
-  unsigned batch_workers = 1;
-  /// Lanes per parallel chunk when batch_workers != 1.
-  int batch_grain = 16;
 };
 
 struct Response {
@@ -94,9 +94,9 @@ struct Response {
   /// Correlation id assigned at submit(); every trace event this request
   /// produced (serve.request / serve.admit / serve.batch / end) carries it.
   std::uint64_t trace_id = 0;
-  /// For kRejected only: the router's Retry-After-style hint — how long a
-  /// client should back off before retrying, from estimated drain time.
-  /// 0 when not rejected (or when no estimate is available).
+  /// For kRejected only: a Retry-After-style hint — how long a client
+  /// should back off before retrying, from AdmissionQueue's estimated
+  /// wait. 0 when not rejected.
   double retry_after_ms = 0.0;
   /// Registry version this request decoded on (the version pinned at
   /// admission, not whatever was current at completion). 0 for services
@@ -105,15 +105,19 @@ struct Response {
 };
 
 /// Snapshot of one service instance's load counters. The monotone event
-/// counts (submitted .. batched_lanes) are instance-local atomics — with
-/// several replicas in one process (serve::Router) each replica reports
-/// only its own traffic — while the process still exports one aggregate
-/// monotone serve.* series through obs::MetricsRegistry.
+/// counts are instance-local atomics — two services in one process never
+/// see each other's traffic — while the process still exports one
+/// aggregate monotone serve.* series through obs::MetricsRegistry. The
+/// submit-side fields (submitted, rejected, shutdown_refused, queue_depth)
+/// belong to the AdmissionQueue: a service that shares one (a Router
+/// replica) leaves them 0, and RouterCounters reports them once for the
+/// fleet.
 struct ServiceCounters {
   /// Requests accepted into the admission queue (excludes rejected and
   /// shutdown-refused submissions).
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;
+  /// Queue-full and arena-exhaustion refusals.
   std::uint64_t rejected = 0;
   /// Submissions refused because the service was stopped or stopping.
   std::uint64_t shutdown_refused = 0;
@@ -124,18 +128,14 @@ struct ServiceCounters {
   std::uint64_t queue_depth = 0;  // at snapshot time
   /// Mean lanes per batched forward (batch occupancy).
   double mean_batch_lanes = 0.0;
-  /// Percentiles over the most recent kLatencyWindow completions (a fixed
-  /// ring, not the full history — memory stays flat under sustained load).
+  /// Submit -> completion percentiles of kOk requests over the full
+  /// history, from the latency sketch (obs::QuantileSketch, 1% relative
+  /// error, fixed memory, mergeable across replicas for fleet tails).
   double p50_latency_ms = 0.0;
   double p95_latency_ms = 0.0;
   double p99_latency_ms = 0.0;
-  /// Sketch-derived tail percentiles over the FULL completion history
-  /// (obs::QuantileSketch, 1% relative error) — the honest numbers bench
-  /// emitters report, immune to the ring window and mergeable across
-  /// replicas for fleet tails.
-  double sketch_p99_ms = 0.0;
   double sketch_p999_ms = 0.0;
-  /// Completed requests per second, first submit -> last completion.
+  /// Completed requests per second, first admission -> last completion.
   double qps = 0.0;
   long sessions_created = 0;
   long session_reuses = 0;
@@ -150,20 +150,100 @@ struct ServiceCounters {
   [[nodiscard]] util::Json to_json() const;
 };
 
-class RecommendService {
+/// The submit side of serving: a bounded queue of requests that one or
+/// more batchers pop, the submit-side counters, and the wait estimate
+/// behind Retry-After hints. Thread-safe.
+class AdmissionQueue {
  public:
   using Clock = std::chrono::steady_clock;
+
+  struct Request {
+    std::vector<double> insight;
+    int beam_width = 0;
+    std::uint64_t trace_id = 0;
+    Clock::time_point submitted_at{};
+    Clock::time_point deadline{};  // time_point::max() == no deadline
+    std::promise<Response> promise;
+  };
+
+  /// `decoders` is how many requests the batchers popping this queue
+  /// decode at once (replicas x max_inflight); it scales the wait
+  /// estimate.
+  AdmissionQueue(std::size_t capacity, int decoders, int insight_dim,
+                 int max_beam_width);
+
+  /// Throws std::invalid_argument for a bad insight dimension or beam
+  /// width — malformed input is a caller bug, not a load condition.
+  void validate(const std::vector<double>& insight, int beam_width) const;
+  /// Validate, stamp and enqueue. A full queue resolves the future at once
+  /// with kRejected (and a retry hint), a closed one with kShutdown.
+  [[nodiscard]] std::future<Response> submit(
+      std::vector<double> insight, int beam_width,
+      std::chrono::milliseconds deadline, std::uint64_t trace_id);
+
+  /// Batcher side: pop a request (blocking / non-blocking), and report
+  /// how every popped request ended, exactly once. `decode_ms` (admission
+  /// -> completion) feeds the wait estimate for kOk; kRejected (arena
+  /// exhausted at admission) counts as a rejection.
+  [[nodiscard]] bool pop(Request& out) { return queue_.pop(out); }
+  [[nodiscard]] bool try_pop(Request& out) { return queue_.try_pop(out); }
+  void finished(Status status, double decode_ms = 0.0);
+
+  void close() { queue_.close(); }
+  [[nodiscard]] bool closed() const { return queue_.closed(); }
+  /// Queued / capacity, in [0, 1].
+  [[nodiscard]] double utilization() const {
+    return static_cast<double>(queue_.size()) /
+           static_cast<double>(queue_.capacity());
+  }
+  /// Estimated milliseconds until a request enqueued now starts decoding:
+  /// ceil(backlog / decoders) x mean decode ms, where backlog counts every
+  /// accepted request not yet finished. Before the first completion the
+  /// mean is unknown and the estimate is 10 ms per backlogged request.
+  [[nodiscard]] double estimated_wait_ms() const;
+
+  /// Fills the submit-side fields of `c` (ServiceCounters or
+  /// RouterCounters): submitted, rejected, shutdown_refused, queue_depth.
+  template <typename Counters>
+  void fill(Counters& c) const {
+    c.submitted = submitted_.load(std::memory_order_relaxed);
+    c.rejected = rejected_.load(std::memory_order_relaxed);
+    c.shutdown_refused = shutdown_refused_.load(std::memory_order_relaxed);
+    c.queue_depth = queue_.size();
+  }
+
+ private:
+  util::MpmcQueue<Request> queue_;
+  const int decoders_;
+  const std::size_t insight_dim_;
+  const int max_beam_width_;
+  std::atomic<std::uint64_t> submitted_{0};
+  std::atomic<std::uint64_t> rejected_{0};
+  std::atomic<std::uint64_t> shutdown_refused_{0};
+  std::atomic<std::uint64_t> finished_{0};
+  std::atomic<std::uint64_t> decoded_{0};
+  std::atomic<double> decode_ms_sum_{0.0};
+};
+
+class RecommendService {
+ public:
+  using Clock = AdmissionQueue::Clock;
   /// Deadline value meaning "no deadline".
   static constexpr std::chrono::milliseconds kNoDeadline{0};
 
-  explicit RecommendService(const align::RecipeModel& model,
-                            ServiceConfig config = {});
+  /// `admission` lets several services pop one shared queue (Router's
+  /// replicas); null gives this service its own, of
+  /// config.queue_capacity.
+  explicit RecommendService(
+      const align::RecipeModel& model, ServiceConfig config = {},
+      std::shared_ptr<AdmissionQueue> admission = nullptr);
   /// Registry-backed service: starts on registry->current() and hot-swaps
   /// to each newly published version at a batch boundary (in-flight
   /// requests finish on their pinned version). Throws
   /// std::invalid_argument when the registry has no published version.
-  explicit RecommendService(std::shared_ptr<ModelRegistry> registry,
-                            ServiceConfig config = {});
+  explicit RecommendService(
+      std::shared_ptr<ModelRegistry> registry, ServiceConfig config = {},
+      std::shared_ptr<AdmissionQueue> admission = nullptr);
   ~RecommendService();
   RecommendService(const RecommendService&) = delete;
   RecommendService& operator=(const RecommendService&) = delete;
@@ -189,12 +269,15 @@ class RecommendService {
 
   /// Hold the batcher before its next tick (deterministic backpressure /
   /// deadline tests). Queued requests stay queued; deadlines keep running.
+  /// A batcher that was idle when paused may already hold one popped
+  /// request, which it admits on resume().
   void pause();
   void resume();
 
   /// Drain: close admission, finish everything queued and in flight, join
   /// the batcher. Idempotent; also called by the destructor. Requests
-  /// submitted after stop() resolve immediately with kShutdown.
+  /// submitted after stop() resolve immediately with kShutdown. Closing a
+  /// shared AdmissionQueue closes it for every service popping it.
   void stop();
 
   [[nodiscard]] ServiceCounters counters() const;
@@ -207,16 +290,9 @@ class RecommendService {
   /// exactly that for fleet p99/p99.9.
   [[nodiscard]] obs::QuantileSketch latency_sketch() const;
 
-  /// Cheap load probes for an external placer (serve::Router): requests
-  /// waiting in the admission queue and requests currently decoding.
-  [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }
+  /// Requests this batcher is decoding right now.
   [[nodiscard]] int inflight() const noexcept {
     return inflight_now_.load(std::memory_order_relaxed);
-  }
-  /// Completions since construction (all statuses), for drain-rate
-  /// estimation without a registry round-trip.
-  [[nodiscard]] std::uint64_t finished() const noexcept {
-    return finished_.load(std::memory_order_relaxed);
   }
 
   /// Version serving new admissions (0 on a fixed-model service).
@@ -228,18 +304,8 @@ class RecommendService {
     return n_swaps_.load(std::memory_order_relaxed);
   }
 
-  /// Completions kept for the p50/p95/p99 snapshot in counters().
-  static constexpr std::size_t kLatencyWindow = 2048;
-
  private:
-  struct Request {
-    std::vector<double> insight;
-    int beam_width = 0;
-    std::uint64_t trace_id = 0;
-    Clock::time_point submitted_at{};
-    Clock::time_point deadline{};  // time_point::max() == no deadline
-    std::promise<Response> promise;
-  };
+  using Request = AdmissionQueue::Request;
   struct Inflight {
     Request request;
     align::DecodeSession* session = nullptr;
@@ -253,19 +319,15 @@ class RecommendService {
   /// Both public constructors delegate here; exactly one of `fixed` /
   /// `registry` is set.
   RecommendService(ServiceConfig config, const align::RecipeModel* fixed,
-                   std::shared_ptr<ModelRegistry> registry);
+                   std::shared_ptr<ModelRegistry> registry,
+                   std::shared_ptr<AdmissionQueue> admission);
 
   void batcher_loop();
   /// Adopt the registry's current version if it moved (batcher thread,
   /// batch boundaries only). No-op on fixed-model services.
   void maybe_swap();
   void admit(Request&& request, std::vector<Inflight>& inflight);
-  void forward_batch(std::span<const align::BatchStep> steps, double* probs);
   void finish(Inflight& flight, Status status);
-  static void respond(Request& request, Status status,
-                      std::vector<align::BeamCandidate> candidates,
-                      Clock::time_point admitted_at,
-                      std::uint64_t model_version = 0);
 
   std::shared_ptr<ModelRegistry> registry_;  // null = fixed model
   /// Version serving new admissions. Owned by the batcher thread after
@@ -274,43 +336,31 @@ class RecommendService {
   std::shared_ptr<const ModelVersion> active_;
   const align::RecipeModel* model_;
   ServiceConfig config_;
-  /// Insight dimension, immutable copy for submit-side validation (the
-  /// live model pointer belongs to the batcher once swaps can happen).
-  int insight_dim_;
   SessionArena arena_;
-  util::MpmcQueue<Request> queue_;
+  /// False when admission_ is shared: its counters are the fleet's.
+  bool own_admission_;
+  std::shared_ptr<AdmissionQueue> admission_;
 
   mutable std::mutex pause_mutex_;
   std::condition_variable pause_cv_;
   bool paused_ = false;
 
-  // Instance-local observability state. Every event also feeds the
-  // process-wide registry (serve.* series), but counters() reads these
+  // Instance-local batch-side observability state. Every event also feeds
+  // the process-wide registry (serve.* series), but counters() reads these
   // atomics so each replica in a multi-replica fleet reports its own
   // traffic rather than the process aggregate.
-  std::atomic<std::uint64_t> n_submitted_{0};
   std::atomic<std::uint64_t> n_completed_{0};
-  std::atomic<std::uint64_t> n_rejected_{0};
-  std::atomic<std::uint64_t> n_shutdown_refused_{0};
   std::atomic<std::uint64_t> n_timed_out_{0};
   std::atomic<std::uint64_t> n_ticks_{0};
   std::atomic<std::uint64_t> n_batched_lanes_{0};
   mutable std::mutex counters_mutex_;
-  /// Fixed-size ring of the most recent completion latencies. Bounded by
-  /// kLatencyWindow: a service completing requests forever must not grow
-  /// memory (the full distribution lives in the serve.latency_ms
-  /// histogram; this ring only backs the recent-window percentiles).
-  std::vector<double> latencies_ms_;
-  std::size_t latency_next_ = 0;
-  /// Full-history mergeable tail sketch (guarded by counters_mutex_, like
-  /// the ring): one observe per kOk completion, never windowed.
+  /// Full-history mergeable latency sketch (guarded by counters_mutex_):
+  /// one observe per kOk completion, fixed memory however long it runs.
   obs::QuantileSketch latency_sketch_;
   std::uint64_t peak_inflight_ = 0;
-  Clock::time_point first_submit_{};
+  Clock::time_point first_admit_{};
   Clock::time_point last_complete_{};
-  bool any_submitted_ = false;
   std::atomic<int> inflight_now_{0};
-  std::atomic<std::uint64_t> finished_{0};
   std::atomic<std::uint64_t> active_version_{0};
   std::atomic<std::uint64_t> n_swaps_{0};
   /// Publish->adoption latency accumulators, guarded by counters_mutex_.

@@ -1,12 +1,13 @@
 #pragma once
-// Bounded multi-producer/multi-consumer queue with blocking pop and
-// non-blocking push. Producers that hit the capacity bound get an
-// immediate PushResult::kFull instead of blocking, which is the
-// admission-control behaviour the serve layer wants: a full queue means
-// the service is saturated and the request should be rejected, not
-// buffered forever. A closed queue reports kClosed from the same lock
-// acquisition, so producers can distinguish saturation from shutdown
-// without a second racy probe.
+// Bounded multi-producer/multi-consumer queue with blocking pop. push()
+// never blocks: producers that hit the capacity bound get an immediate
+// PushResult::kFull, which is the admission-control behaviour the serve
+// layer wants — a full queue means the service is saturated and the
+// request should be rejected, not buffered forever. push_wait() blocks
+// for space instead, for producers that should stall rather than refuse
+// (a connection reader whose pending-response window is full). A closed
+// queue reports kClosed from the same lock acquisition, so producers can
+// distinguish saturation from shutdown without a second racy probe.
 
 #include <condition_variable>
 #include <cstddef>
@@ -49,6 +50,20 @@ class MpmcQueue {
     return PushResult::kPushed;
   }
 
+  /// Enqueue, blocking while the queue is full. Returns kPushed, or
+  /// kClosed (leaving `value` untouched) when close() happened first or
+  /// while waiting; never kFull.
+  [[nodiscard]] PushResult push_wait(T&& value) {
+    {
+      std::unique_lock lock(mutex_);
+      space_.wait(lock, [&] { return closed_ || items_.size() < capacity_; });
+      if (closed_) return PushResult::kClosed;
+      items_.push_back(std::move(value));
+    }
+    ready_.notify_one();
+    return PushResult::kPushed;
+  }
+
   /// Boolean push() for callers that treat full and closed alike.
   [[nodiscard]] bool try_push(T&& value) {
     return push(std::move(value)) == PushResult::kPushed;
@@ -57,31 +72,38 @@ class MpmcQueue {
   /// Dequeue, blocking until an item arrives or the queue is closed.
   /// Returns false only when closed and drained.
   [[nodiscard]] bool pop(T& out) {
-    std::unique_lock lock(mutex_);
-    ready_.wait(lock, [&] { return closed_ || !items_.empty(); });
-    if (items_.empty()) return false;
-    out = std::move(items_.front());
-    items_.pop_front();
+    {
+      std::unique_lock lock(mutex_);
+      ready_.wait(lock, [&] { return closed_ || !items_.empty(); });
+      if (items_.empty()) return false;
+      out = std::move(items_.front());
+      items_.pop_front();
+    }
+    space_.notify_one();
     return true;
   }
 
   /// Dequeue if an item is immediately available. Never blocks.
   [[nodiscard]] bool try_pop(T& out) {
-    std::lock_guard lock(mutex_);
-    if (items_.empty()) return false;
-    out = std::move(items_.front());
-    items_.pop_front();
+    {
+      std::lock_guard lock(mutex_);
+      if (items_.empty()) return false;
+      out = std::move(items_.front());
+      items_.pop_front();
+    }
+    space_.notify_one();
     return true;
   }
 
-  /// Reject future pushes and wake every blocked pop. Items already queued
-  /// remain poppable (drain-then-stop semantics).
+  /// Reject future pushes and wake every blocked pop and push_wait. Items
+  /// already queued remain poppable (drain-then-stop semantics).
   void close() {
     {
       std::lock_guard lock(mutex_);
       closed_ = true;
     }
     ready_.notify_all();
+    space_.notify_all();
   }
 
   [[nodiscard]] std::size_t size() const {
@@ -99,7 +121,8 @@ class MpmcQueue {
  private:
   const std::size_t capacity_;
   mutable std::mutex mutex_;
-  std::condition_variable ready_;
+  std::condition_variable ready_;  // an item arrived, or closed
+  std::condition_variable space_;  // an item left, or closed
   std::deque<T> items_;
   bool closed_ = false;
 };

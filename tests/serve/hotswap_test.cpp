@@ -104,7 +104,7 @@ TEST(HotswapTest, VersionPinning) {
   auto future = service.submit(insights[0], kWidth);
   // Wait until the request is admitted — from that point its version pin
   // is fixed, whatever publishes next.
-  while (service.inflight() == 0 && service.finished() == 0) {
+  while (service.inflight() == 0 && service.counters().completed == 0) {
     std::this_thread::yield();
   }
   registry->publish(version_state(2), "v2");
@@ -147,7 +147,7 @@ TEST(HotswapTest, MixedVersionTicksDecodeEachRequestOnItsPinnedModel) {
 
   RecommendService service{registry, ServiceConfig{}};
   auto first = service.submit(insights[3], kWidth);
-  while (service.inflight() == 0 && service.finished() == 0) {
+  while (service.inflight() == 0 && service.counters().completed == 0) {
     std::this_thread::yield();
   }
   // v2 lands while the first request decodes (one tick per beam position,

@@ -1,17 +1,18 @@
-// serve::Router — sharded placement and overload policy. Placement must
-// respect queue depth (a backed-up replica stops attracting traffic),
-// shed ordering must follow the priority classes (batch first, normal
-// next, interactive only when every queue is full), shed responses must
-// resolve immediately with a Retry-After hint, and responses routed
-// through the fleet must stay bitwise identical to per-request
-// beam_search. pause() on individual replicas makes the load states
-// deterministic on one core.
+// serve::Router — N batchers popping one shared admission queue, plus the
+// overload policy. The fleet must be work-conserving (a frozen replica
+// cannot strand traffic), shedding must follow the priority classes
+// (batch first, normal next, interactive only when the queue is full)
+// against the aggregate capacity, shed responses must resolve immediately
+// with a Retry-After hint from the fleet-wide wait estimate, and responses
+// must stay bitwise identical to per-request beam_search. pause() on
+// individual replicas makes the load states deterministic on one core.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <future>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "align/beam.h"
@@ -69,44 +70,111 @@ TEST(Router, RoutedResponsesMatchPerRequestBeamSearch) {
   }
 
   const RouterCounters counters = router.counters();
-  EXPECT_EQ(counters.routed, insights.size());
+  EXPECT_EQ(counters.submitted, insights.size());
   EXPECT_EQ(counters.shed, 0U);
   EXPECT_EQ(counters.total_completed(), insights.size());
   ASSERT_EQ(counters.replica.size(), 2U);
-  std::uint64_t submitted = 0;
-  for (const ServiceCounters& c : counters.replica) submitted += c.submitted;
-  EXPECT_EQ(submitted, insights.size());
+  // Submit-side counts belong to the shared queue: reported once for the
+  // fleet, never again per replica.
+  for (const ServiceCounters& c : counters.replica) {
+    EXPECT_EQ(c.submitted, 0U);
+    EXPECT_EQ(c.queue_depth, 0U);
+  }
 }
 
-TEST(Router, PlacementAvoidsBackedUpReplica) {
-  // Preload replica 0 while both batchers are frozen: new traffic must
-  // land on the shallow replica 1, not round-robin blindly.
+TEST(Router, WorkConservingWhileAReplicaIsPaused) {
+  // With one shared queue there is no placement to get wrong: while
+  // replica 0 is frozen, replica 1 pops and completes the traffic. A
+  // batcher that was running when paused may already hold popped
+  // requests — at most max_inflight = 1 here — so all but at most one
+  // complete before replica 0 resumes.
+  const auto model = test_model();
+  const auto insights = suite_insights(model.config().insight_dim);
+  constexpr int kRequests = 8;
+
+  RouterConfig config;
+  config.replicas = 2;
+  config.replica.max_inflight = 1;
+  Router router{model, config};
+  router.replica(0).pause();
+
+  std::vector<std::future<Response>> futures;
+  for (int i = 0; i < kRequests; ++i) {
+    futures.push_back(router.submit(insights[static_cast<std::size_t>(i)], 2,
+                                    Router::kNoDeadline,
+                                    Priority::kInteractive));
+  }
+  const auto give_up = std::chrono::steady_clock::now() + 60s;
+  while (router.replica(1).counters().completed < kRequests - 1 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(1ms);
+  }
+  EXPECT_GE(router.replica(1).counters().completed,
+            static_cast<std::uint64_t>(kRequests - 1));
+  EXPECT_EQ(router.replica(0).counters().completed, 0U);
+
+  router.replica(0).resume();
+  for (auto& f : futures) {
+    EXPECT_EQ(f.get().status, Status::kOk);
+  }
+  const RouterCounters counters = router.counters();
+  EXPECT_EQ(counters.total_completed(), static_cast<std::uint64_t>(kRequests));
+  EXPECT_LE(counters.replica[0].completed, 1U);
+  router.stop();
+}
+
+TEST(Router, ShedsAgainstAggregateQueueCapacity) {
+  // Two replicas of queue_capacity 4 share one queue of 8: thresholds are
+  // fractions of 8, not of either replica's 4. Both batchers are frozen;
+  // each may hold up to max_inflight = 1 popped request outside the
+  // queue (a pause only lands at the batcher's next loop turn).
   const auto model = test_model();
   const auto insights = suite_insights(model.config().insight_dim);
 
   RouterConfig config;
   config.replicas = 2;
-  config.replica.queue_capacity = 16;
+  config.replica.queue_capacity = 4;
+  config.replica.max_inflight = 1;
   Router router{model, config};
   router.replica(0).pause();
   router.replica(1).pause();
 
-  std::vector<std::future<Response>> futures;
-  for (int i = 0; i < 4; ++i) {
-    futures.push_back(router.replica(0).submit(insights[0], 2));
+  std::vector<std::future<Response>> accepted;
+  const auto submit = [&](Priority priority) {
+    return router.submit(insights[0], 2, Router::kNoDeadline, priority);
+  };
+  const auto is_shed = [](std::future<Response>& f) {
+    return f.wait_for(0s) == std::future_status::ready;
+  };
+
+  // At most 3 queued = 3/8 < 0.5: a batch request still rides, although
+  // one replica's share (4) would already be 75% full.
+  for (int i = 0; i < 3; ++i) accepted.push_back(submit(Priority::kInteractive));
+  auto batch = submit(Priority::kBatch);
+  ASSERT_FALSE(is_shed(batch));
+  accepted.push_back(std::move(batch));
+
+  // Fill until interactive traffic sheds, which takes a full queue of 8:
+  // at least 8 accepted, plus at most one held by each batcher.
+  std::future<Response> shed_interactive;
+  for (int i = 0; i < 16; ++i) {
+    auto f = submit(Priority::kInteractive);
+    if (is_shed(f)) {
+      shed_interactive = std::move(f);
+      break;
+    }
+    accepted.push_back(std::move(f));
   }
-  for (int i = 0; i < 2; ++i) {
-    futures.push_back(router.submit(insights[1], 2, Router::kNoDeadline,
-                                    Priority::kInteractive));
-  }
-  // The two routed submissions went to replica 1 (replica 0's backlog of 4
-  // dwarfs replica 1's, even mid-placement).
-  EXPECT_EQ(router.replica(1).counters().submitted, 2U);
-  EXPECT_EQ(router.counters().routed, 2U);
+  ASSERT_TRUE(shed_interactive.valid()) << "queue never filled";
+  EXPECT_EQ(shed_interactive.get().status, Status::kRejected);
+  const RouterCounters counters = router.counters();
+  EXPECT_GE(accepted.size(), 8U);
+  EXPECT_LE(accepted.size(), 10U);
+  EXPECT_EQ(counters.submitted, accepted.size());
 
   router.replica(0).resume();
   router.replica(1).resume();
-  for (auto& f : futures) {
+  for (auto& f : accepted) {
     EXPECT_EQ(f.get().status, Status::kOk);
   }
   router.stop();
@@ -167,7 +235,7 @@ TEST(Router, ShedsByPriorityClassUnderLoad) {
 
   const RouterCounters counters = router.counters();
   EXPECT_GE(counters.shed, 3U);
-  EXPECT_EQ(counters.routed, accepted.size());
+  EXPECT_EQ(counters.submitted, accepted.size());
 
   router.replica(0).resume();
   for (auto& f : accepted) {
@@ -209,33 +277,39 @@ TEST(Router, ShedsRequestsWithoutDeadlineSlack) {
   router.stop();
 }
 
-TEST(Router, RebalanceMeasuresDrainRatesAndCounts) {
-  const auto model = test_model();
-  const auto insights = suite_insights(model.config().insight_dim);
-
-  RouterConfig config;
-  config.replicas = 2;
-  config.rebalance_interval = 4;  // auto-rebalance during the burst
-  Router router{model, config};
-  EXPECT_EQ(router.estimated_drain_ms(), 0.0);  // idle fleet
+TEST(AdmissionQueue, WaitEstimateScalesBacklogByMeasuredDecodeTime) {
+  // The one fleet-wide estimate behind retry hints and slack admission:
+  // ceil(backlog / decoders) x mean admission->completion ms, with 10 ms
+  // per backlogged request before any decode has been measured.
+  constexpr int kDim = 4;
+  AdmissionQueue queue{8, /*decoders=*/2, kDim, /*max_beam_width=*/4};
+  EXPECT_EQ(queue.estimated_wait_ms(), 0.0);  // idle
 
   std::vector<std::future<Response>> futures;
-  for (int i = 0; i < 16; ++i) {
-    futures.push_back(router.submit(insights[static_cast<std::size_t>(i % 17)],
-                                    2, Router::kNoDeadline,
-                                    Priority::kNormal));
+  for (int i = 0; i < 5; ++i) {
+    futures.push_back(queue.submit(std::vector<double>(kDim, 0.5), 2,
+                                   Router::kNoDeadline, 0));
   }
-  for (auto& f : futures) {
-    ASSERT_EQ(f.get().status, Status::kOk);
-  }
-  router.rebalance();  // final snapshot after completions
+  EXPECT_DOUBLE_EQ(queue.estimated_wait_ms(), 50.0);  // cold start
 
-  const RouterCounters counters = router.counters();
-  EXPECT_EQ(counters.routed, 16U);
-  EXPECT_GE(counters.rebalances, 4U);  // 16 placements / interval 4, + final
-  EXPECT_EQ(counters.total_completed(), 16U);
-  EXPECT_EQ(router.utilization(), 0.0);  // drained
-  router.stop();
+  AdmissionQueue::Request request;
+  ASSERT_TRUE(queue.try_pop(request));
+  queue.finished(Status::kOk, 4.0);  // backlog 4, mean 4 ms
+  EXPECT_DOUBLE_EQ(queue.estimated_wait_ms(), 8.0);
+  ASSERT_TRUE(queue.try_pop(request));
+  queue.finished(Status::kTimedOut);  // backlog 3: ceil(3/2) x 4 ms
+  EXPECT_DOUBLE_EQ(queue.estimated_wait_ms(), 8.0);
+  ASSERT_TRUE(queue.try_pop(request));
+  queue.finished(Status::kOk, 8.0);  // backlog 2, mean 6 ms
+  EXPECT_DOUBLE_EQ(queue.estimated_wait_ms(), 6.0);
+
+  EXPECT_THROW(
+      (void)queue.submit(std::vector<double>(kDim + 1, 0.5), 2,
+                         Router::kNoDeadline, 0),
+      std::invalid_argument);
+  EXPECT_THROW((void)queue.submit(std::vector<double>(kDim, 0.5), 5,
+                                  Router::kNoDeadline, 0),
+               std::invalid_argument);
 }
 
 TEST(Router, StopShutsDownAndValidatesInput) {
@@ -257,14 +331,12 @@ TEST(Router, StopShutsDownAndValidatesInput) {
   auto late = router.submit(insights[0], 2, Router::kNoDeadline,
                             Priority::kInteractive);
   EXPECT_EQ(late.get().status, Status::kShutdown);
+  EXPECT_EQ(router.counters().shutdown_refused, 1U);
   router.stop();  // idempotent
 
-  EXPECT_THROW((Router{model, RouterConfig{.replicas = 0}}),
-               std::invalid_argument);
-  RouterConfig inverted;
-  inverted.shed_normal = 0.4;
-  inverted.shed_batch = 0.6;  // batch must shed first
-  EXPECT_THROW((Router{model, inverted}), std::invalid_argument);
+  RouterConfig empty;
+  empty.replicas = 0;
+  EXPECT_THROW((Router{model, empty}), std::invalid_argument);
 }
 
 }  // namespace

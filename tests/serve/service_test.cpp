@@ -17,6 +17,7 @@
 #include "align/beam.h"
 #include "obs/trace.h"
 #include "serve/arena.h"
+#include "serve/router.h"
 #include "serve/service.h"
 #include "util/rng.h"
 
@@ -285,50 +286,83 @@ TEST(RecommendService, ShutdownRaceNeverMisreportsRejection) {
   // lost the race against stop() was reported kRejected ("retry later")
   // instead of kShutdown. With a queue that can never fill, every refused
   // submission must be kShutdown and the rejected counter must stay 0.
-  // Run under TSan to check the tri-state push's locking too.
+  // Two inputs: a standalone service, and a 2-replica Router whose two
+  // batchers drain one shared queue — there no future may be lost between
+  // the batchers either. Run under TSan to check the locking too.
   const auto model = test_model();
   const auto insights = suite_insights(model.config().insight_dim);
 
-  for (int round = 0; round < 8; ++round) {
-    ServiceConfig config;
-    config.max_inflight = 4;
-    config.queue_capacity = 4096;  // cannot fill: any kRejected is a bug
-    RecommendService service{model, config};
-
-    constexpr int kThreads = 4;
-    constexpr int kPerThread = 16;
-    std::vector<std::vector<std::future<Response>>> futures(kThreads);
-    std::vector<std::thread> submitters;
-    for (int t = 0; t < kThreads; ++t) {
-      submitters.emplace_back([&, t] {
-        for (int i = 0; i < kPerThread; ++i) {
-          futures[static_cast<std::size_t>(t)].push_back(
-              service.submit(insights[static_cast<std::size_t>(i % 17)], 2));
-        }
-      });
-    }
-    service.stop();  // races the submitters
-    for (auto& thread : submitters) thread.join();
-
-    int ok = 0;
-    int shutdown = 0;
-    for (auto& per_thread : futures) {
-      for (auto& f : per_thread) {
-        const Status status = f.get().status;
-        EXPECT_TRUE(status == Status::kOk || status == Status::kShutdown)
-            << "status " << to_string(status);
-        if (status == Status::kOk) ++ok;
-        if (status == Status::kShutdown) ++shutdown;
+  for (const int replicas : {0, 2}) {  // 0 = standalone service
+    SCOPED_TRACE(replicas == 0 ? "standalone" : "2-replica router");
+    for (int round = 0; round < 8; ++round) {
+      ServiceConfig config;
+      config.max_inflight = 4;
+      config.queue_capacity = 4096;  // cannot fill: any kRejected is a bug
+      std::unique_ptr<RecommendService> service;
+      std::unique_ptr<Router> router;
+      if (replicas == 0) {
+        service = std::make_unique<RecommendService>(model, config);
+      } else {
+        router = std::make_unique<Router>(
+            model, RouterConfig{.replicas = replicas, .replica = config});
       }
-    }
-    EXPECT_EQ(ok + shutdown, kThreads * kPerThread);
+      const auto submit = [&](const std::vector<double>& insight) {
+        return service != nullptr
+                   ? service->submit(insight, 2)
+                   : router->submit(insight, 2, Router::kNoDeadline,
+                                    Priority::kInteractive);
+      };
 
-    const ServiceCounters counters = service.counters();
-    EXPECT_EQ(counters.rejected, 0U);
-    EXPECT_EQ(counters.submitted, static_cast<std::uint64_t>(ok));
-    EXPECT_EQ(counters.completed, static_cast<std::uint64_t>(ok));
-    EXPECT_EQ(counters.shutdown_refused,
-              static_cast<std::uint64_t>(shutdown));
+      constexpr int kThreads = 4;
+      constexpr int kPerThread = 16;
+      std::vector<std::vector<std::future<Response>>> futures(kThreads);
+      std::vector<std::thread> submitters;
+      for (int t = 0; t < kThreads; ++t) {
+        submitters.emplace_back([&, t] {
+          for (int i = 0; i < kPerThread; ++i) {
+            futures[static_cast<std::size_t>(t)].push_back(
+                submit(insights[static_cast<std::size_t>(i % 17)]));
+          }
+        });
+      }
+      // Races the submitters.
+      if (service != nullptr) {
+        service->stop();
+      } else {
+        router->stop();
+      }
+      for (auto& thread : submitters) thread.join();
+
+      int ok = 0;
+      int shutdown = 0;
+      for (auto& per_thread : futures) {
+        for (auto& f : per_thread) {
+          const Status status = f.get().status;
+          EXPECT_TRUE(status == Status::kOk || status == Status::kShutdown)
+              << "status " << to_string(status);
+          if (status == Status::kOk) ++ok;
+          if (status == Status::kShutdown) ++shutdown;
+        }
+      }
+      EXPECT_EQ(ok + shutdown, kThreads * kPerThread);
+
+      ServiceCounters counters;
+      if (service != nullptr) {
+        counters = service->counters();
+      } else {
+        const RouterCounters fleet = router->counters();
+        EXPECT_EQ(fleet.shed, 0U);
+        counters.submitted = fleet.submitted;
+        counters.rejected = fleet.rejected;
+        counters.shutdown_refused = fleet.shutdown_refused;
+        counters.completed = fleet.total_completed();
+      }
+      EXPECT_EQ(counters.rejected, 0U);
+      EXPECT_EQ(counters.submitted, static_cast<std::uint64_t>(ok));
+      EXPECT_EQ(counters.completed, static_cast<std::uint64_t>(ok));
+      EXPECT_EQ(counters.shutdown_refused,
+                static_cast<std::uint64_t>(shutdown));
+    }
   }
 }
 

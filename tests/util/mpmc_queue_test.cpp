@@ -1,11 +1,13 @@
 // MpmcQueue: the serving layer's admission queue. FIFO order, bounded
-// non-blocking push (admission control), drain-then-stop close semantics,
-// and a multi-producer/multi-consumer stress case sized for TSan.
+// non-blocking push (admission control), blocking push_wait (reader
+// backpressure), drain-then-stop close semantics, and a
+// multi-producer/multi-consumer stress case sized for TSan.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -91,6 +93,43 @@ TEST(MpmcQueue, CloseWakesBlockedConsumer) {
   queue.close();
   consumer.join();
   EXPECT_TRUE(returned.load());
+}
+
+TEST(MpmcQueue, PushWaitBlocksUntilSpaceOrClose) {
+  // push_wait on a full queue must block (not spin, not report kFull),
+  // complete with kPushed once a pop frees a slot, and give up with
+  // kClosed when close() lands while it waits.
+  MpmcQueue<int> queue{1};
+  ASSERT_EQ(queue.push(1), PushResult::kPushed);
+
+  std::atomic<bool> returned{false};
+  PushResult result = PushResult::kFull;
+  std::thread producer{[&] {
+    result = queue.push_wait(2);
+    returned.store(true);
+  }};
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(returned.load());  // still blocked: the queue is full
+  int out = 0;
+  ASSERT_TRUE(queue.try_pop(out));
+  EXPECT_EQ(out, 1);
+  producer.join();
+  EXPECT_EQ(result, PushResult::kPushed);
+  EXPECT_EQ(queue.size(), 1U);
+
+  returned.store(false);
+  std::thread blocked{[&] {
+    result = queue.push_wait(3);
+    returned.store(true);
+  }};
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(returned.load());
+  queue.close();
+  blocked.join();
+  EXPECT_EQ(result, PushResult::kClosed);
+  ASSERT_TRUE(queue.pop(out));  // the queued item still drains
+  EXPECT_EQ(out, 2);
+  EXPECT_FALSE(queue.pop(out));
 }
 
 TEST(MpmcQueue, ConcurrentProducersAndConsumersDeliverEverythingOnce) {
