@@ -329,7 +329,7 @@ IsaGflops attn_scores_gflops(int d, int len, int ld, bool have_avx2,
 /// width-5 40-step recommend on the KV-cached fast path vs the tape
 /// reference (and the speedup), decoder token evaluations per second,
 /// per-kernel GFLOP/s for the scalar vs AVX2 dispatch tables, and ms per
-/// MDPO training epoch serial vs data-parallel. Gated (warn-only) against
+/// MDPO training epoch. Gated (warn-only) against
 /// bench/BENCH_nn_baseline.txt.
 void emit_bench_nn(const std::string& path) {
   const auto baseline = read_nn_baseline();
@@ -480,55 +480,6 @@ void emit_bench_nn(const std::string& path) {
       if (have_avx2) warn_lower_gflops("kern_attn_scores_avx2_gflops", g.avx2);
     }
 
-    if (have_avx2) {
-      // Backward accumulators: exact table vs the kFast reassociated FMA
-      // variants, plus the observed divergence (kFast's contract is
-      // tolerance, not bits).
-      (void)nn::kern::force_isa(Isa::kAvx2);
-      const int m = 54, k = 64, n = 32;
-      std::vector<double> a(static_cast<std::size_t>(m) * k);
-      std::vector<double> bt(static_cast<std::size_t>(n) * k);
-      for (double& x : a) x = rng.uniform(-1.0, 1.0);
-      for (double& x : bt) x = rng.uniform(-1.0, 1.0);
-      std::vector<double> c(static_cast<std::size_t>(m) * n);
-      const double flop = 2.0 * m * k * n;
-      const auto nt_ms = [&] {
-        double best = 0.0;
-        for (int trial = 0; trial < 5; ++trial) {
-          const double ms = timed_ms(
-              [&] {
-                std::fill(c.begin(), c.end(), 0.0);
-                nn::kern::bwd::matmul_nt_acc(a.data(), bt.data(), c.data(), m,
-                                             k, n);
-                benchmark::DoNotOptimize(c.data());
-              },
-              /*warmup=*/2, /*min_total_ms=*/8.0, /*max_iters=*/1000);
-          if (trial == 0 || ms < best) best = ms;
-        }
-        return best;
-      };
-      nn::kern::set_mode(nn::kern::KernelMode::kExact);
-      const double exact_ms = nt_ms();
-      std::vector<double> c_exact = c;
-      nn::kern::set_mode(nn::kern::KernelMode::kFast);
-      const double fast_ms = nt_ms();
-      nn::kern::set_mode(nn::kern::KernelMode::kExact);
-      double max_rel = 0.0;
-      for (std::size_t i = 0; i < c.size(); ++i) {
-        max_rel = std::max(max_rel, std::abs(c[i] - c_exact[i]) /
-                                        (1.0 + std::abs(c_exact[i])));
-      }
-      util::Json row = util::Json::object();
-      row["m"] = m;
-      row["k"] = k;
-      row["n"] = n;
-      row["exact_gflops"] = flop / (exact_ms * 1e6);
-      row["fast_gflops"] = flop / (fast_ms * 1e6);
-      row["fast_speedup"] = exact_ms / fast_ms;
-      row["fast_max_rel_err"] = max_rel;
-      kernels["bwd_nt_acc"] = std::move(row);
-    }
-
     (void)nn::kern::force_isa(initial_isa);
     root["kernels"] = std::move(kernels);
   }
@@ -546,43 +497,19 @@ void emit_bench_nn(const std::string& path) {
     tc.epochs = 1;
     tc.pairs_per_design = 64;
     tc.seed = 515;
-    const auto epoch_ms = [&](int workers) {
-      tc.workers = workers;
-      return timed_ms(
-          [&] {
-            util::Rng rng{77};
-            align::RecipeModel model{align::ModelConfig{}, rng};
-            align::AlignmentTrainer trainer{model, tc};
-            benchmark::DoNotOptimize(trainer.train(dataset, all));
-          },
-          /*warmup=*/1, /*min_total_ms=*/500.0, /*max_iters=*/10);
-    };
+    const double ms_per_epoch = timed_ms(
+        [&] {
+          util::Rng rng{77};
+          align::RecipeModel model{align::ModelConfig{}, rng};
+          align::AlignmentTrainer trainer{model, tc};
+          benchmark::DoNotOptimize(trainer.train(dataset, all));
+        },
+        /*warmup=*/1, /*min_total_ms=*/500.0, /*max_iters=*/10);
     util::Json train = util::Json::object();
     train["designs"] = designs.size();
     train["pairs_per_design"] = tc.pairs_per_design;
     train["minibatch"] = tc.minibatch;
-    // Parallel speedup is hardware-bound: on a single-core host the pool
-    // has no background workers and the fan-out runs inline, so the ratio
-    // measures dispatch overhead, not data parallelism. Record that
-    // honestly instead of letting a ~1.0x read as a scaling result.
-    const auto hw = std::thread::hardware_concurrency();
-    train["hardware_concurrency"] = static_cast<std::size_t>(hw);
-    const double serial_ms = epoch_ms(0);
-    const double parallel_ms = epoch_ms(4);
-    train["serial_ms_per_epoch"] = serial_ms;
-    train["parallel_workers"] = 4;
-    train["parallel_ms_per_epoch"] = parallel_ms;
-    train["parallel_speedup"] = serial_ms / parallel_ms;
-    train["parallel_speedup_meaningful"] = hw > 1;
-    if (hw <= 1) {
-      train["note"] = std::string{
-          "single-core host: parallel_speedup measures worker dispatch "
-          "overhead only; re-run on a multicore box for a scaling number"};
-      std::fprintf(stderr,
-                   "WARNING: BENCH_nn: train_epoch parallel_speedup measured "
-                   "on a single-core host (hardware_concurrency=1) — not a "
-                   "data-parallel scaling result\n");
-    }
+    train["ms_per_epoch"] = ms_per_epoch;
     root["train_epoch"] = train;
   }
 
