@@ -303,8 +303,13 @@ Response RecommendService::recommend(std::vector<double> insight,
 }
 
 void RecommendService::pause() {
-  std::lock_guard lock(pause_mutex_);
+  std::unique_lock lock(pause_mutex_);
+  if (stopped_) return;  // a draining batcher must never park
   paused_ = true;
+  // resume() and stop() both clear paused_, so neither can strand us here.
+  pause_cv_.wait(lock, [this] {
+    return batcher_at_ != BatcherAt::kWork || !paused_;
+  });
 }
 
 void RecommendService::resume() {
@@ -486,13 +491,21 @@ void RecommendService::batcher_loop() {
   std::vector<std::size_t> group_begin;
   std::vector<double> probs;
 
-  const auto wait_if_paused = [this] {
+  // Records where the batcher is for pause(); a kWork call parks first
+  // while paused.
+  const auto reach = [this](BatcherAt at) {
     std::unique_lock lock(pause_mutex_);
-    pause_cv_.wait(lock, [this] { return !paused_; });
+    if (at == BatcherAt::kWork && paused_) {
+      batcher_at_ = BatcherAt::kParked;
+      pause_cv_.notify_all();
+      pause_cv_.wait(lock, [this] { return !paused_; });
+    }
+    batcher_at_ = at;
+    if (at != BatcherAt::kWork) pause_cv_.notify_all();
   };
 
   while (true) {
-    wait_if_paused();
+    reach(BatcherAt::kWork);
     // Batch boundary: adopt a newly published version before admitting
     // anything, so every request in this tick's admissions pins it.
     maybe_swap();
@@ -503,10 +516,11 @@ void RecommendService::batcher_loop() {
       admit(std::move(request), inflight);
     }
     if (inflight.empty()) {
+      reach(BatcherAt::kIdle);
       if (!admission_->pop(request)) break;  // closed and drained
-      // Re-check the pause flag so pause() freezes admission too; the
-      // request's deadline keeps running while held here.
-      wait_if_paused();
+      // Park before admitting if a pause landed while idle; the request's
+      // deadline keeps running while held here.
+      reach(BatcherAt::kWork);
       maybe_swap();
       admit(std::move(request), inflight);
       continue;
@@ -598,6 +612,7 @@ void RecommendService::batcher_loop() {
 
   // Queue closed and drained; inflight is empty here by construction (the
   // loop only reaches the blocking pop when nothing is in flight).
+  reach(BatcherAt::kExited);
 }
 
 }  // namespace vpr::serve

@@ -268,9 +268,11 @@ class RecommendService {
       std::chrono::milliseconds deadline = kNoDeadline);
 
   /// Hold the batcher before its next tick (deterministic backpressure /
-  /// deadline tests). Queued requests stay queued; deadlines keep running.
-  /// A batcher that was idle when paused may already hold one popped
-  /// request, which it admits on resume().
+  /// deadline tests). Returns once the batcher is held — parked at its
+  /// loop top, so no tick runs until resume(); blocked idle on an empty
+  /// queue; or exited — or once stop() or a concurrent resume() lifts the
+  /// pause. Queued requests stay queued; deadlines keep running. A batcher
+  /// held idle may still pop one request, which it admits on resume().
   void pause();
   void resume();
 
@@ -341,9 +343,16 @@ class RecommendService {
   bool own_admission_;
   std::shared_ptr<AdmissionQueue> admission_;
 
+  /// Where the batcher thread is, as far as pause() cares: ticking, or in
+  /// one of the places it can be held without running a tick.
+  enum class BatcherAt { kWork, kParked, kIdle, kExited };
+
   mutable std::mutex pause_mutex_;
+  /// Signals both ways: resume()/stop() to a parked batcher, and the
+  /// batcher reaching a hold point to a waiting pause().
   std::condition_variable pause_cv_;
   bool paused_ = false;
+  BatcherAt batcher_at_ = BatcherAt::kWork;  // guarded by pause_mutex_
 
   // Instance-local batch-side observability state. Every event also feeds
   // the process-wide registry (serve.* series), but counters() reads these

@@ -85,16 +85,14 @@ TEST(Router, RoutedResponsesMatchPerRequestBeamSearch) {
 TEST(Router, WorkConservingWhileAReplicaIsPaused) {
   // With one shared queue there is no placement to get wrong: while
   // replica 0 is frozen, replica 1 pops and completes the traffic. A
-  // batcher that was running when paused may already hold popped
-  // requests — at most max_inflight = 1 here — so all but at most one
-  // complete before replica 0 resumes.
+  // batcher paused while idle may still pop one request and hold it, so
+  // all but at most one complete before replica 0 resumes.
   const auto model = test_model();
   const auto insights = suite_insights(model.config().insight_dim);
   constexpr int kRequests = 8;
 
   RouterConfig config;
   config.replicas = 2;
-  config.replica.max_inflight = 1;
   Router router{model, config};
   router.replica(0).pause();
 
@@ -125,16 +123,15 @@ TEST(Router, WorkConservingWhileAReplicaIsPaused) {
 
 TEST(Router, ShedsAgainstAggregateQueueCapacity) {
   // Two replicas of queue_capacity 4 share one queue of 8: thresholds are
-  // fractions of 8, not of either replica's 4. Both batchers are frozen;
-  // each may hold up to max_inflight = 1 popped request outside the
-  // queue (a pause only lands at the batcher's next loop turn).
+  // fractions of 8, not of either replica's 4. Both batchers are frozen
+  // while idle; each may still pop one request and hold it outside the
+  // queue.
   const auto model = test_model();
   const auto insights = suite_insights(model.config().insight_dim);
 
   RouterConfig config;
   config.replicas = 2;
   config.replica.queue_capacity = 4;
-  config.replica.max_inflight = 1;
   Router router{model, config};
   router.replica(0).pause();
   router.replica(1).pause();
@@ -181,7 +178,8 @@ TEST(Router, ShedsAgainstAggregateQueueCapacity) {
 }
 
 TEST(Router, ShedsByPriorityClassUnderLoad) {
-  // One replica, queue capacity 8, batcher frozen. Utilization climbs as
+  // One replica, queue capacity 8, batcher frozen (while idle, so it
+  // holds at most one popped request). Utilization climbs as
   // interactive traffic queues; batch sheds at 0.50, normal at 0.75, and
   // interactive only once the queue is entirely full. Shed responses
   // resolve immediately (no batcher involvement) with a retry hint.

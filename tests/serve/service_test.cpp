@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <future>
 #include <stdexcept>
@@ -107,9 +108,9 @@ TEST(RecommendService, RejectsWhenAdmissionQueueIsFull) {
   RecommendService service{model, config};
   service.pause();  // freeze the batcher so nothing drains
 
-  // capacity + 2 submissions while paused: at most max_inflight may have
-  // been admitted before the pause landed, so at least one submission must
-  // overflow the queue and reject immediately.
+  // capacity + 2 submissions while paused: the batcher, held idle, may
+  // pop at most one of them, so at least one submission must overflow the
+  // queue and reject immediately.
   std::vector<std::future<Response>> futures;
   for (int i = 0; i < 4; ++i) {
     futures.push_back(service.submit(insights[0], 2));
@@ -125,6 +126,40 @@ TEST(RecommendService, RejectsWhenAdmissionQueueIsFull) {
   EXPECT_GE(rejected, 1);
   EXPECT_GE(service.counters().rejected, 1U);
   service.resume();
+}
+
+TEST(RecommendService, PauseStopsTicksUnderContinuousLoad) {
+  // pause() returns only once the batcher is held: under a steady stream
+  // of submissions, a batcher caught mid-admission or mid-tick must reach
+  // its loop top before pause() returns, so no tick runs afterwards.
+  const auto model = test_model();
+  const auto insights = suite_insights(model.config().insight_dim);
+
+  ServiceConfig config;
+  config.max_inflight = 4;
+  RecommendService service{model, config};
+  std::vector<std::future<Response>> futures;
+  std::atomic<bool> stop_submitting{false};
+  std::thread submitter{[&] {
+    for (std::size_t i = 0; i < 200 && !stop_submitting.load(); ++i) {
+      futures.push_back(service.submit(insights[i % insights.size()], 2));
+      std::this_thread::sleep_for(200us);
+    }
+  }};
+  while (service.counters().ticks == 0) std::this_thread::sleep_for(1ms);
+
+  service.pause();
+  const std::uint64_t ticks = service.counters().ticks;
+  std::this_thread::sleep_for(50ms);  // submissions keep arriving
+  EXPECT_EQ(service.counters().ticks, ticks);
+
+  service.resume();
+  stop_submitting.store(true);
+  submitter.join();
+  ASSERT_FALSE(futures.empty());
+  for (auto& f : futures) {
+    EXPECT_EQ(f.get().status, Status::kOk);
+  }
 }
 
 TEST(RecommendService, DeadlineExpiresToTimedOut) {
