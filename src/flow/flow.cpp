@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
+#include <cstring>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -20,27 +19,6 @@ namespace vpr::flow {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-/// Placer parallelism from INSIGHTALIGN_PLACE_WORKERS, read once per
-/// process. 0 (the default) lets the shared pool pick; the placement is
-/// bit-identical for every value, so this is purely a throughput knob.
-int place_workers() {
-  static const int workers = [] {
-    const char* env = std::getenv("INSIGHTALIGN_PLACE_WORKERS");
-    if (env == nullptr || *env == '\0') return 0;
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end == env || *end != '\0' || v < 0 || v > 4096) {
-      std::fprintf(stderr,
-                   "insightalign: ignoring invalid "
-                   "INSIGHTALIGN_PLACE_WORKERS=%s (want 0..4096)\n",
-                   env);
-      return 0;
-    }
-    return static_cast<int>(v);
-  }();
-  return workers;
-}
 
 /// Elapsed milliseconds from `t0`, recorded as a trace span over the same
 /// interval when tracing is enabled: the span boundaries and the StageTimes
@@ -74,20 +52,26 @@ WireParams wire_params(const netlist::TechNode& node) {
   };
 }
 
+/// Bitwise equality of two coordinate vectors.
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
 }  // namespace
 
 Design::Design(netlist::DesignTraits traits)
     : traits_(std::move(traits)), netlist_(netlist::generate(traits_)) {}
 
-/// Engines and caches that outlive a single run() on the same Flow. A
-/// try-lock guards the whole structure: the winner of a concurrent race
-/// runs warm, losers take the cold path (identical results, fresh
-/// engines). Placements are memoized because most recipe sets leave the
-/// placer knobs at their defaults, so successive runs on one design
-/// re-place identically; entries are evicted LRU.
+/// Memos that outlive a single run() on the same Flow. A try-lock guards
+/// the whole structure: the winner of a concurrent race runs warm, losers
+/// bypass the memos (identical results). Placements are memoized because
+/// most recipe sets leave the placer knobs at their defaults, so
+/// successive runs on one design re-place identically; entries are
+/// evicted LRU.
 struct Flow::Scratch {
   std::mutex mu;
-  route::IncrementalRouter router;
 
   struct CachedPlacement {
     place::PlacerKnobs knobs;
@@ -100,16 +84,23 @@ struct Flow::Scratch {
   static constexpr std::size_t kMaxPlacements = 8;
   std::vector<CachedPlacement> placements;
   std::uint64_t tick = 0;
+
+  // The last warm routing and the inputs it was computed from. The other
+  // router inputs never vary on one Flow: at routing time the netlist is
+  // always the design's own (placement and CTS do not mutate the working
+  // copy) and the route seed derives from the design seed. So equal
+  // clamped knobs, grid and bitwise-equal coordinates mean GlobalRouter
+  // would return exactly this result.
+  std::optional<route::RoutingResult> routing;
+  route::RouterKnobs route_knobs;  // clamped
+  int route_grid = 0;
+  std::vector<double> route_x, route_y;
 };
 
 Flow::Flow(const Design& design)
     : design_(design), scratch_(std::make_unique<Scratch>()) {}
 
 Flow::~Flow() = default;
-
-const route::IncrementalRouter& Flow::incremental_router() const {
-  return scratch_->router;
-}
 
 FlowKnobs Flow::resolve_knobs(const RecipeSet& recipes) const {
   FlowKnobs knobs;  // engine defaults
@@ -196,7 +187,7 @@ FlowResult Flow::run_impl(const RecipeSet& recipes, bool incremental) const {
       }
     }
     place::Placer placer{nl, knobs.place, traits.seed ^ salt,
-                         incremental ? place_workers() : 1};
+                         incremental ? 0 : 1};
     place::Placement p = placer.run(weights, &traj);
     if (warm) {
       if (scratch_->placements.size() >= Scratch::kMaxPlacements) {
@@ -270,25 +261,36 @@ FlowResult Flow::run_impl(const RecipeSet& recipes, bool incremental) const {
   times.cts_ms += stage_ms("flow.cts", stage_start);
 
   // ----- Global routing -----
-  // Warm path: the persistent IncrementalRouter rips up and reroutes only
-  // what changed since the previous run on this Flow (bitwise-identical
-  // to the from-scratch router). INSIGHTALIGN_ROUTER=full forces the
-  // oracle; run_reference always uses it.
+  // Warm path: reuse the last routing when its inputs repeat (see
+  // Scratch); otherwise route from scratch and remember the result.
+  static obs::Counter& route_reuses = obs::MetricsRegistry::instance().counter(
+      "flow.route_reuses", "warm Flow::run routings reused from the last run");
   stage_start = Clock::now();
-  const bool route_incremental =
-      warm && route::router_mode() != route::RouterMode::kFull;
-  if (route_incremental) {
-    result.routing =
-        scratch_->router.route(nl, placement, knobs.route,
-                               traits.seed ^ 0x707eULL);
+  Scratch& memo = *scratch_;
+  const route::RouterKnobs route_knobs = route::clamp_knobs(knobs.route);
+  const bool reuse_routing = warm && memo.routing &&
+                             memo.route_knobs == route_knobs &&
+                             memo.route_grid == placement.grid &&
+                             same_bits(memo.route_x, placement.x) &&
+                             same_bits(memo.route_y, placement.y);
+  if (reuse_routing) {
+    route_reuses.inc();
+    result.routing = *memo.routing;
   } else {
     route::GlobalRouter router{nl, placement, knobs.route,
                                traits.seed ^ 0x707eULL};
     result.routing = router.run();
+    if (warm) {
+      memo.routing = result.routing;
+      memo.route_knobs = route_knobs;
+      memo.route_grid = placement.grid;
+      memo.route_x = placement.x;
+      memo.route_y = placement.y;
+    }
   }
   times.route_ms += stage_ms(
       "flow.route", stage_start,
-      {{"incremental", route_incremental ? std::int64_t{1} : std::int64_t{0}}});
+      {{"reused", reuse_routing ? std::int64_t{1} : std::int64_t{0}}});
   std::vector<double> net_wl = result.routing.net_length;
 
   // ----- Post-route STA -----

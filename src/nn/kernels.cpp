@@ -189,7 +189,7 @@ std::atomic<Isa> g_isa{Isa::kScalar};
 
 bool cpu_has_avx2() {
 #if defined(VPR_KERN_HAVE_AVX2) && (defined(__x86_64__) || defined(__i386__))
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+  return __builtin_cpu_supports("avx2");
 #else
   return false;
 #endif

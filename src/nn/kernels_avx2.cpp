@@ -1,23 +1,23 @@
 // Explicit AVX2 kernel table. Compiled only on x86-64, with
-// -mavx2 -mfma -ffp-contract=off (see src/nn/CMakeLists.txt).
+// -mavx2 -ffp-contract=off (see src/nn/CMakeLists.txt).
 //
 // Exactness strategy: the exact kernels vectorize ACROSS output elements —
 // broadcast the shared A operand, load B rows unit-stride, and combine with
 // separate _mm256_mul_pd / _mm256_add_pd (never fmadd). Each SIMD lane then
 // holds exactly one output element's single accumulator, advanced over the
 // inner index in the same ascending order as the scalar oracle, so results
-// are bitwise identical for every shape. -ffp-contract=off matters for the
-// scalar remainder loops in this TU: with FMA available the compiler would
-// otherwise contract `acc += a * b` into a fused multiply-add and change
-// the rounding.
+// are bitwise identical for every shape. -ffp-contract=off keeps the
+// scalar remainder loops in this TU from ever being contracted into a
+// fused multiply-add (which would change the rounding), whatever ISA
+// flags the build adds.
 
 #include "nn/kernels_impl.h"
 
 #if !defined(VPR_KERN_HAVE_AVX2)
 #error "kernels_avx2.cpp compiled without VPR_KERN_HAVE_AVX2"
 #endif
-#if !defined(__AVX2__) || !defined(__FMA__)
-#error "kernels_avx2.cpp requires -mavx2 -mfma"
+#if !defined(__AVX2__)
+#error "kernels_avx2.cpp requires -mavx2"
 #endif
 
 #include <immintrin.h>

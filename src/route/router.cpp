@@ -1,57 +1,352 @@
 #include "route/router.h"
 
+#include <algorithm>
+#include <cmath>
+#include <cstddef>
 #include <stdexcept>
 
 #include "obs/trace.h"
-#include "route/walk.h"
 
 namespace vpr::route {
+
+namespace {
+
+/// Per-edge cost: unit base, smooth pressure below capacity, steep
+/// negotiated penalty above it. `history` carries overflow memory across
+/// rounds (PathFinder-style).
+double edge_cost(double usage, double history, double capacity,
+                 double penalty) {
+  const double pressure = 0.25 * usage / capacity;
+  const double over = std::max(0.0, usage + 1.0 - capacity);
+  return 1.0 + pressure + history + penalty * over;
+}
+
+/// One driver->sink connection, in bin coordinates.
+struct TwoPin {
+  int net = 0;
+  int x0 = 0, y0 = 0, x1 = 0, y1 = 0;
+};
+
+int bin_coord(double v, int grid) {
+  return std::clamp(static_cast<int>(v * grid), 0, grid - 1);
+}
+
+/// Two-pin decomposition: driver to each sink bin, dropping same-bin pins.
+/// Output is net-major in ascending net order, which finalize_result relies
+/// on to sum per-net lengths.
+void decompose(const netlist::Netlist& nl, const place::Placement& placement,
+               int grid, std::vector<TwoPin>& pins) {
+  pins.clear();
+  for (int net = 0; net < nl.net_count(); ++net) {
+    const auto& n = nl.net(net);
+    if (n.driver_cell == netlist::kNoDriver || n.sink_cells.empty()) continue;
+    const int sx =
+        bin_coord(placement.x[static_cast<std::size_t>(n.driver_cell)], grid);
+    const int sy =
+        bin_coord(placement.y[static_cast<std::size_t>(n.driver_cell)], grid);
+    for (const int sink : n.sink_cells) {
+      const int tx = bin_coord(placement.x[static_cast<std::size_t>(sink)], grid);
+      const int ty = bin_coord(placement.y[static_cast<std::size_t>(sink)], grid);
+      if (tx == sx && ty == sy) continue;
+      pins.push_back({net, sx, sy, tx, ty});
+    }
+  }
+}
+
+/// Short connections first: long nets then negotiate around them.
+void shortest_first_order(const std::vector<TwoPin>& pins,
+                          std::vector<std::size_t>& order) {
+  order.resize(pins.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     const auto manhattan = [&](const TwoPin& p) {
+                       return std::abs(p.x1 - p.x0) + std::abs(p.y1 - p.y0);
+                     };
+                     return manhattan(pins[a]) < manhattan(pins[b]);
+                   });
+}
+
+/// The candidate walker over the capacitated bin grid: owns the usage and
+/// history arrays plus the per-pin scratch hoisted out of the route loops.
+/// Capacity and penalty are per-call so the calibration pre-pass and the
+/// negotiated rounds share the code.
+class EdgeWalker {
+ public:
+  EdgeWalker(int grid, const RouterKnobs& knobs) : grid_(grid), knobs_(knobs) {
+    const std::size_t h_edges =
+        grid > 1 ? static_cast<std::size_t>(grid) * (grid - 1) : 0;
+    h_usage_.assign(h_edges, 0.0);
+    v_usage_.assign(h_edges, 0.0);
+    h_history_.assign(h_edges, 0.0);
+    v_history_.assign(h_edges, 0.0);
+  }
+
+  void zero_usage() {
+    std::fill(h_usage_.begin(), h_usage_.end(), 0.0);
+    std::fill(v_usage_.begin(), v_usage_.end(), 0.0);
+  }
+
+  [[nodiscard]] const std::vector<double>& h_usage() const noexcept {
+    return h_usage_;
+  }
+  [[nodiscard]] const std::vector<double>& v_usage() const noexcept {
+    return v_usage_;
+  }
+  [[nodiscard]] std::vector<double>& h_history() noexcept { return h_history_; }
+  [[nodiscard]] std::vector<double>& v_history() noexcept { return v_history_; }
+
+  /// Routes one two-pin connection and commits its edge usage; returns the
+  /// path length (in bin steps) via the cheapest candidate. Each candidate
+  /// is walked exactly once: the walk records its edges, and the winner is
+  /// committed by replaying the recorded list.
+  double route_two_pin(const TwoPin& pin, double penalty, double capacity) {
+    candidates_.clear();
+    candidates_.push_back({pin.x1, pin.y0});  // L: horizontal then vertical
+    candidates_.push_back({pin.x0, pin.y1});  // L: vertical then horizontal
+    if (knobs_.congestion_effort > 0.0) {
+      // Z / detour candidates: midpoints inside (and slightly beyond) the
+      // bounding box, more of them at higher effort.
+      const int extra =
+          1 + static_cast<int>(std::lround(4.0 * knobs_.congestion_effort));
+      const int margin = knobs_.congestion_effort > 0.6
+                             ? 2
+                             : (knobs_.congestion_effort > 0.3 ? 1 : 0);
+      const int lo_x = std::max(0, std::min(pin.x0, pin.x1) - margin);
+      const int hi_x = std::min(grid_ - 1, std::max(pin.x0, pin.x1) + margin);
+      const int lo_y = std::max(0, std::min(pin.y0, pin.y1) - margin);
+      const int hi_y = std::min(grid_ - 1, std::max(pin.y0, pin.y1) + margin);
+      for (int k = 1; k <= extra; ++k) {
+        const int xm = lo_x + (hi_x - lo_x) * k / (extra + 1);
+        const int ym = lo_y + (hi_y - lo_y) * k / (extra + 1);
+        candidates_.push_back({xm, pin.y1});
+        candidates_.push_back({pin.x0, ym});
+        candidates_.push_back({xm, ym});
+      }
+    }
+    // Single walk per candidate: cost and record, then commit the winner by
+    // replaying its recorded edges instead of re-walking the geometry (the
+    // winner's usage updates cannot change its own already-summed cost).
+    double best_cost = 1e300;
+    double best_length = 0.0;
+    best_edges_.clear();
+    for (const auto& cand : candidates_) {
+      cand_edges_.clear();
+      double length = 0.0;
+      const double cost = path_cost(pin.x0, pin.y0, pin.x1, pin.y1, cand.xm,
+                                    cand.ym, penalty, capacity, &length,
+                                    cand_edges_);
+      if (cost < best_cost) {
+        best_cost = cost;
+        best_length = length;
+        std::swap(best_edges_, cand_edges_);
+      }
+    }
+    // Usage increments are exact (+1.0 on integral doubles).
+    for (const std::uint32_t enc : best_edges_) {
+      const std::size_t e = enc >> 1;
+      if ((enc & 1u) != 0) {
+        v_usage_[e] += 1.0;
+      } else {
+        h_usage_[e] += 1.0;
+      }
+    }
+    return best_length;
+  }
+
+ private:
+  /// Costs the path through midpoint (xm, ym), appending each traversed
+  /// edge (encoded (index << 1) | is_vertical, duplicates preserved) to
+  /// `edges`; returns the cost and writes the step count to *length.
+  double path_cost(int x0, int y0, int x1, int y1, int xm, int ym,
+                   double penalty, double capacity, double* length,
+                   std::vector<std::uint32_t>& edges) {
+    // Path: (x0,y0) -H-> (xm,y0) -V-> (xm,ym) -H-> (x1,ym) -V-> (x1,y1).
+    // With xm==x1 or ym==y1 this degenerates to Z and L shapes. A detour
+    // path can traverse the same edge twice; the recording keeps duplicates
+    // so a replay-commit adds the same usage as the walk costed.
+    double cost = 0.0;
+    double len = 0.0;
+    const auto h_seg = [&](int y, int xa, int xb) {
+      const int lo = std::min(xa, xb);
+      const int hi = std::max(xa, xb);
+      for (int x = lo; x < hi; ++x) {
+        const std::size_t e = static_cast<std::size_t>(y) * (grid_ - 1) + x;
+        cost += edge_cost(h_usage_[e], h_history_[e], capacity, penalty);
+        len += 1.0;
+        edges.push_back(static_cast<std::uint32_t>(e) << 1);
+      }
+    };
+    const auto v_seg = [&](int x, int ya, int yb) {
+      const int lo = std::min(ya, yb);
+      const int hi = std::max(ya, yb);
+      for (int y = lo; y < hi; ++y) {
+        const std::size_t e = static_cast<std::size_t>(x) * (grid_ - 1) + y;
+        cost += edge_cost(v_usage_[e], v_history_[e], capacity, penalty);
+        len += 1.0;
+        edges.push_back((static_cast<std::uint32_t>(e) << 1) | 1u);
+      }
+    };
+    h_seg(y0, x0, xm);
+    v_seg(xm, y0, ym);
+    h_seg(ym, xm, x1);
+    v_seg(x1, ym, y1);
+    if (length != nullptr) *length = len;
+    return cost;
+  }
+
+  int grid_ = 0;
+  RouterKnobs knobs_;
+  std::vector<double> h_usage_;  // edge (x,y)->(x+1,y): index y*(grid-1)+x
+  std::vector<double> v_usage_;  // edge (x,y)->(x,y+1): index x*(grid-1)+y
+  std::vector<double> h_history_;  // PathFinder-style overflow memory
+  std::vector<double> v_history_;
+  struct Candidate {
+    int xm, ym;
+  };
+  std::vector<Candidate> candidates_;
+  std::vector<std::uint32_t> cand_edges_;  // edges of the candidate walked
+  std::vector<std::uint32_t> best_edges_;  // edges of the cheapest so far
+};
+
+/// Sizes edge capacity from the calibration pre-pass usage: headroom over
+/// the mean edge demand, with less headroom at advanced nodes.
+double calibrate_capacity(const netlist::Netlist& nl, const RouterKnobs& knobs,
+                          const std::vector<double>& h_usage,
+                          const std::vector<double>& v_usage) {
+  const std::size_t h_edges = h_usage.size();
+  double mean_usage = 0.0;
+  for (std::size_t e = 0; e < h_edges; ++e) {
+    mean_usage += h_usage[e] + v_usage[e];
+  }
+  mean_usage /= std::max<std::size_t>(1, 2 * h_edges);
+  const double node_scale =
+      std::clamp(nl.library().node().feature_nm / 45.0, 0.1, 1.0);
+  return std::max(2.0, (1.08 + 0.55 * node_scale) * mean_usage *
+                           knobs.capacity_derate);
+}
+
+struct RoundOverflow {
+  int over_edges = 0;
+  double total_over = 0.0;
+  double max_util = 0.0;
+};
+
+/// End-of-round overflow accounting.
+RoundOverflow account_overflow(const std::vector<double>& h_usage,
+                               const std::vector<double>& v_usage,
+                               double capacity) {
+  RoundOverflow out;
+  const std::size_t h_edges = h_usage.size();
+  for (std::size_t e = 0; e < h_edges; ++e) {
+    for (const auto* usage : {&h_usage, &v_usage}) {
+      const double u = (*usage)[e];
+      out.max_util = std::max(out.max_util, u / capacity);
+      if (u > capacity) {
+        ++out.over_edges;
+        out.total_over += u - capacity;
+      }
+    }
+  }
+  return out;
+}
+
+/// PathFinder history bump feeding the next round.
+void bump_history(std::vector<double>& h_history,
+                  std::vector<double>& v_history,
+                  const std::vector<double>& h_usage,
+                  const std::vector<double>& v_usage, double history_gain,
+                  double capacity) {
+  const std::size_t h_edges = h_usage.size();
+  for (std::size_t e = 0; e < h_edges; ++e) {
+    h_history[e] +=
+        history_gain * std::max(0.0, h_usage[e] - capacity) / capacity;
+    v_history[e] +=
+        history_gain * std::max(0.0, v_usage[e] - capacity) / capacity;
+  }
+}
+
+/// Final per-net lengths, detours, total wirelength and the DRC estimate.
+/// `pins` must be net-major (decompose order) and `pin_length` parallel to
+/// it; overflow fields of `result` must already be set.
+void finalize_result(const netlist::Netlist& nl,
+                     const place::Placement& placement, int grid,
+                     const std::vector<TwoPin>& pins,
+                     const std::vector<double>& pin_length,
+                     RoutingResult& result) {
+  const double step = 1.0 / grid;
+  result.net_length.assign(static_cast<std::size_t>(nl.net_count()), 0.0);
+  result.detour_factor.assign(static_cast<std::size_t>(nl.net_count()), 1.0);
+  result.total_wirelength = 0.0;
+  std::size_t p = 0;
+  for (int net = 0; net < nl.net_count(); ++net) {
+    double len = 0.0;
+    while (p < pins.size() && pins[p].net == net) {
+      len += pin_length[p] * step;
+      ++p;
+    }
+    // Local (same-bin) nets still have some wire.
+    const double hpwl = placement.net_hpwl(nl, net);
+    len = std::max(len, 0.3 * step);
+    result.net_length[static_cast<std::size_t>(net)] = std::max(len, hpwl);
+    result.detour_factor[static_cast<std::size_t>(net)] =
+        hpwl > 1e-9 ? result.net_length[static_cast<std::size_t>(net)] / hpwl
+                    : 1.0;
+    result.total_wirelength += result.net_length[static_cast<std::size_t>(net)];
+  }
+  // DRC estimate: unresolved overflow turns into shorts/spacing violations.
+  result.drc_violations = static_cast<int>(
+      std::lround(2.0 * result.total_overflow + 0.5 * result.overflow_edges));
+}
+
+}  // namespace
+
+RouterKnobs clamp_knobs(RouterKnobs knobs) {
+  knobs.congestion_effort = std::clamp(knobs.congestion_effort, 0.0, 1.0);
+  knobs.capacity_derate = std::clamp(knobs.capacity_derate, 0.5, 1.3);
+  knobs.rounds = std::clamp(knobs.rounds, 1, 10);
+  return knobs;
+}
 
 GlobalRouter::GlobalRouter(const netlist::Netlist& nl,
                            const place::Placement& placement,
                            RouterKnobs knobs, std::uint64_t seed)
     : nl_(nl),
       placement_(placement),
-      knobs_(detail::clamp_knobs(knobs)),
+      knobs_(clamp_knobs(knobs)),
       seed_(seed) {
   if (placement.x.size() != static_cast<std::size_t>(nl.cell_count())) {
     throw std::invalid_argument("GlobalRouter: placement size mismatch");
   }
   grid_ = placement.grid > 0 ? placement.grid : 16;
-  // Capacity is finalized in run(): the fabric is sized against the mean
-  // demand of an uncongested pre-pass (a real router's track supply is
-  // matched to typical utilization), with less headroom at advanced nodes.
-  capacity_ = 1.0;
-  walker_ = std::make_unique<detail::EdgeWalker>();
 }
-
-GlobalRouter::~GlobalRouter() = default;
 
 RoutingResult GlobalRouter::run() {
   VPR_TRACE_SPAN("route.full", "route");
-  detail::EdgeWalker& walker = *walker_;
-  walker.reset(grid_, knobs_);
+  EdgeWalker walker{grid_, knobs_};
 
-  std::vector<detail::TwoPin> pins;
-  detail::decompose(nl_, placement_, grid_, pins);
+  std::vector<TwoPin> pins;
+  decompose(nl_, placement_, grid_, pins);
   std::vector<std::size_t> order;
-  detail::shortest_first_order(pins, order);
+  shortest_first_order(pins, order);
 
   RoutingResult result;
   result.grid = grid_;
   std::vector<double> pin_length(pins.size(), 0.0);
 
-  // Calibration pre-pass: route everything greedily with no penalty, then
-  // size edge capacity as headroom over the mean edge usage.
+  // Calibration pre-pass: route everything greedily with no penalty and
+  // unconstrained capacity, then size edge capacity as headroom over the
+  // mean edge usage (a real router's track supply is matched to typical
+  // utilization), with less headroom at advanced nodes.
+  double capacity = 1e18;
   {
     VPR_TRACE_SPAN("route.calibrate", "route",
                    obs::TraceArgs{{"pins", static_cast<std::int64_t>(pins.size())}});
-    capacity_ = 1e18;  // unconstrained during calibration
     for (const std::size_t i : order) {
-      walker.route_two_pin(pins[i], /*commit=*/true, 0.0, capacity_);
+      walker.route_two_pin(pins[i], 0.0, capacity);
     }
-    capacity_ = detail::calibrate_capacity(nl_, knobs_, walker.h_usage(),
-                                           walker.v_usage());
+    capacity = calibrate_capacity(nl_, knobs_, walker.h_usage(),
+                                  walker.v_usage());
   }
 
   for (int round = 0; round < knobs_.rounds; ++round) {
@@ -61,23 +356,21 @@ RoutingResult GlobalRouter::run() {
     const double penalty =
         (1.0 + 2.0 * knobs_.congestion_effort) * (round + 1);
     for (const std::size_t i : order) {
-      pin_length[i] = walker.route_two_pin(pins[i], /*commit=*/true, penalty,
-                                           capacity_);
+      pin_length[i] = walker.route_two_pin(pins[i], penalty, capacity);
     }
     // Overflow accounting + history update for the next round.
-    const detail::RoundOverflow over =
-        detail::account_overflow(walker.h_usage(), walker.v_usage(), capacity_);
+    const RoundOverflow over =
+        account_overflow(walker.h_usage(), walker.v_usage(), capacity);
     const double history_gain = 0.5 + knobs_.congestion_effort;
-    detail::bump_history(walker.h_history(), walker.v_history(),
-                         walker.h_usage(), walker.v_usage(), history_gain,
-                         capacity_);
+    bump_history(walker.h_history(), walker.v_history(), walker.h_usage(),
+                 walker.v_usage(), history_gain, capacity);
     result.round_overflow_edges.push_back(over.over_edges);
     result.overflow_edges = over.over_edges;
     result.total_overflow = over.total_over;
     result.max_utilization = over.max_util;
   }
 
-  detail::finalize_result(nl_, placement_, grid_, pins, pin_length, result);
+  finalize_result(nl_, placement_, grid_, pins, pin_length, result);
   return result;
 }
 

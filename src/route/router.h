@@ -6,14 +6,8 @@
 // routed length per net (which feeds wire caps back into STA and power),
 // overflow/DRC estimates, and a per-round overflow trajectory for the
 // insight analyzers.
-//
-// GlobalRouter is the from-scratch oracle; the shared walk/cost/ordering
-// mechanics live in route/walk.h and are also driven by the persistent
-// route::IncrementalRouter (route/incremental.h), which must stay bitwise
-// identical to this router on every input.
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "netlist/netlist.h"
@@ -28,6 +22,10 @@ struct RouterKnobs {
 
   friend bool operator==(const RouterKnobs&, const RouterKnobs&) = default;
 };
+
+/// The knobs as GlobalRouter uses them: each clamped into its valid range.
+/// Knobs that clamp equal route identically.
+[[nodiscard]] RouterKnobs clamp_knobs(RouterKnobs knobs);
 
 struct RoutingResult {
   std::vector<double> net_length;     // per net, normalized units
@@ -45,21 +43,14 @@ struct RoutingResult {
   }
 };
 
-namespace detail {
-class EdgeWalker;
-struct TwoPin;
-}  // namespace detail
-
 class GlobalRouter {
  public:
   GlobalRouter(const netlist::Netlist& nl, const place::Placement& placement,
                RouterKnobs knobs, std::uint64_t seed);
-  ~GlobalRouter();
 
   [[nodiscard]] RoutingResult run();
 
   [[nodiscard]] int grid() const noexcept { return grid_; }
-  [[nodiscard]] double edge_capacity() const noexcept { return capacity_; }
 
  private:
   const netlist::Netlist& nl_;
@@ -67,8 +58,6 @@ class GlobalRouter {
   RouterKnobs knobs_;
   std::uint64_t seed_;
   int grid_;
-  double capacity_;
-  std::unique_ptr<detail::EdgeWalker> walker_;
 };
 
 }  // namespace vpr::route

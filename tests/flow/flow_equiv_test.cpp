@@ -1,7 +1,7 @@
-// Flow::run (persistent IncrementalTimer) vs Flow::run_reference (fresh
-// TimingAnalyzer per STA call) must produce bit-for-bit identical results:
-// the incremental timer and the single-walk router are pure optimizations.
-// Also sanity-checks the per-stage wall-clock timers.
+// Flow::run (persistent IncrementalTimer, placement and routing memos) vs
+// Flow::run_reference (fresh TimingAnalyzer per STA call, no reuse) must
+// produce bit-for-bit identical results: the warm path is a pure
+// optimization. Also sanity-checks the per-stage wall-clock timers.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +10,7 @@
 #include "flow/flow.h"
 #include "flow/recipe.h"
 #include "netlist/suite.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace vpr::flow {
@@ -22,6 +23,10 @@ void expect_qor_equal(const Qor& a, const Qor& b, const std::string& what) {
   EXPECT_EQ(a.power, b.power) << what;
   EXPECT_EQ(a.area, b.area) << what;
   EXPECT_EQ(a.drcs, b.drcs) << what;
+}
+
+std::uint64_t route_reuses() {
+  return obs::MetricsRegistry::instance().counter("flow.route_reuses").value();
 }
 
 /// Deterministic sample of `count` recipe sets spanning empty, dense and
@@ -66,11 +71,11 @@ TEST(FlowEquiv, SmallDesignManyRecipeSets) {
 }
 
 TEST(FlowEquiv, AllSuiteDesignsSampledRecipeSets) {
-  // Pin the incremental router on (it is also the kAuto default) so this
-  // suite-wide sweep is explicitly the rip-up-and-reroute equivalence
-  // gate: successive recipe sets on one Flow hit the warm path, and every
-  // warm result must match the cold run_reference oracle bit-for-bit.
-  route::force_router_mode(route::RouterMode::kIncremental);
+  // Successive recipe sets on one Flow hit the warm path (placement and
+  // routing memos), and every warm result must match the cold
+  // run_reference oracle bit-for-bit.
+  const std::uint64_t reuses_before = route_reuses();
+  int warm_runs = 0;
   for (int k = 1; k <= netlist::kSuiteSize; ++k) {
     const Design design{netlist::suite_design(k)};
     const Flow flow{design};
@@ -78,49 +83,83 @@ TEST(FlowEquiv, AllSuiteDesignsSampledRecipeSets) {
          sample_recipe_sets(3, 0xd00dULL + static_cast<std::uint64_t>(k))) {
       const FlowResult fast = flow.run(rs);
       const FlowResult ref = flow.run_reference(rs);
+      ++warm_runs;
       expect_qor_equal(fast.qor, ref.qor,
                        design.name() + " recipes=" + rs.to_string());
       EXPECT_EQ(fast.routing.total_wirelength, ref.routing.total_wirelength);
+      EXPECT_EQ(fast.routing.net_length, ref.routing.net_length);
       EXPECT_EQ(fast.routing.overflow_edges, ref.routing.overflow_edges);
       EXPECT_EQ(fast.final_cell_count, ref.final_cell_count);
     }
-    // The warm path really engaged: every run() on this Flow went through
-    // the persistent router.
-    EXPECT_GE(flow.incremental_router().stats().route_calls, 3u)
-        << design.name();
   }
-  route::clear_forced_router_mode();
-}
-
-TEST(FlowEquiv, ForcedFullRouterMatchesToo) {
-  // The INSIGHTALIGN_ROUTER=full escape hatch routes from scratch every
-  // run; results must not move.
-  const Design design{netlist::suite_design(5)};
-  const Flow flow{design};
-  const RecipeSet rs = RecipeSet::from_ids({2, 7});
-  route::force_router_mode(route::RouterMode::kIncremental);
-  const FlowResult warm = flow.run(rs);
-  route::force_router_mode(route::RouterMode::kFull);
-  const FlowResult full = flow.run(rs);
-  route::clear_forced_router_mode();
-  expect_qor_equal(warm.qor, full.qor, "full-vs-incremental");
-  EXPECT_EQ(warm.routing.total_wirelength, full.routing.total_wirelength);
+  // The memo engaged somewhere in the sweep, so the bitwise checks above
+  // cover reused routings, and it never fired on a Flow's first run.
+  const std::uint64_t reuses = route_reuses() - reuses_before;
+  EXPECT_GT(reuses, 0u);
+  EXPECT_LE(reuses,
+            static_cast<std::uint64_t>(warm_runs - netlist::kSuiteSize));
 }
 
 TEST(FlowEquiv, WarmRepeatShortCircuitsRouting) {
-  route::force_router_mode(route::RouterMode::kIncremental);
   const Design design{netlist::suite_design(3)};
   const Flow flow{design};
   const RecipeSet rs = RecipeSet::from_ids({1});
   const FlowResult first = flow.run(rs);
+  const std::uint64_t before = route_reuses();
   const FlowResult second = flow.run(rs);
+  // Identical inputs: the remembered routing is handed back.
+  EXPECT_EQ(route_reuses() - before, 1u);
   expect_qor_equal(first.qor, second.qor, "warm repeat");
-  const auto& stats = flow.incremental_router().stats();
-  EXPECT_EQ(stats.route_calls, 2u);
-  EXPECT_EQ(stats.full_runs, 1u);
-  // Identical inputs: the retained result is returned untouched.
-  EXPECT_GE(stats.unchanged_calls, 1u);
-  route::clear_forced_router_mode();
+  EXPECT_EQ(first.routing.net_length, second.routing.net_length);
+  // The oracle never consults the memo.
+  (void)flow.run_reference(rs);
+  EXPECT_EQ(route_reuses() - before, 1u);
+}
+
+TEST(FlowEquiv, RouteKnobChangeIsNotReused) {
+  // Same placement knobs, different route knobs: the second run must
+  // route again rather than hand back the first run's routing.
+  const Design design{netlist::suite_design(5)};
+  const Flow flow{design};
+  const RecipeSet plain = RecipeSet::from_ids({});
+  const RecipeSet effort = RecipeSet::from_ids({24});  // route_effort_high
+  ASSERT_TRUE(flow.resolve_knobs(plain).place ==
+              flow.resolve_knobs(effort).place);
+  ASSERT_FALSE(route::clamp_knobs(flow.resolve_knobs(plain).route) ==
+               route::clamp_knobs(flow.resolve_knobs(effort).route));
+  const FlowResult first = flow.run(plain);
+  const std::uint64_t before = route_reuses();
+  const FlowResult second = flow.run(effort);
+  EXPECT_EQ(route_reuses(), before);
+  const FlowResult ref = flow.run_reference(effort);
+  expect_qor_equal(second.qor, ref.qor, "route knobs changed");
+  EXPECT_EQ(second.routing.net_length, ref.routing.net_length);
+  EXPECT_EQ(second.routing.total_wirelength, ref.routing.total_wirelength);
+  // The knob change really moves the routing, so a memo that ignored the
+  // knobs would fail the checks above.
+  EXPECT_NE(first.routing.total_wirelength, ref.routing.total_wirelength);
+}
+
+TEST(FlowEquiv, ClampedEqualRouteKnobsAreReused) {
+  // congestion_combo + route_effort_high push the route effort past its
+  // clamp; adding switching_care raises the raw value further but leaves
+  // the clamped knobs, and the placement knobs, unchanged.
+  const Design design{netlist::suite_design(5)};
+  const Flow flow{design};
+  const RecipeSet first_rs = RecipeSet::from_ids({24, 38});
+  const RecipeSet second_rs = RecipeSet::from_ids({24, 36, 38});
+  const FlowKnobs a = flow.resolve_knobs(first_rs);
+  const FlowKnobs b = flow.resolve_knobs(second_rs);
+  ASSERT_TRUE(a.place == b.place);
+  ASSERT_FALSE(a.route == b.route);
+  ASSERT_TRUE(route::clamp_knobs(a.route) == route::clamp_knobs(b.route));
+  (void)flow.run(first_rs);
+  const std::uint64_t before = route_reuses();
+  const FlowResult second = flow.run(second_rs);
+  EXPECT_EQ(route_reuses() - before, 1u);
+  const FlowResult ref = flow.run_reference(second_rs);
+  expect_qor_equal(second.qor, ref.qor, "clamped-equal route knobs");
+  EXPECT_EQ(second.routing.net_length, ref.routing.net_length);
 }
 
 TEST(FlowEquiv, StageTimersArePopulated) {
